@@ -68,7 +68,8 @@ soak:
 
 # fuzz exercises the crash-recovery parsers (WAL payloads, chunk-file
 # footers, record logs), the m4ql parser including the REPRESENT
-# clause, and the /write line-protocol parser. Go allows one -fuzz
+# clause, the /write line-protocol parser, and the chunk column codecs
+# (differential against the bit-at-a-time oracle). Go allows one -fuzz
 # target per invocation, so each runs separately for FUZZTIME (the seed
 # corpus also runs in plain `make test`).
 fuzz:
@@ -80,11 +81,19 @@ fuzz:
 	$(GO) test ./internal/tsfile -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tsfile -run '^$$' -fuzz '^FuzzRecordLog$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tsfile -run '^$$' -fuzz '^FuzzSegmentHeader$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzDecodeValues$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzDecodeTimes$$' -fuzztime $(FUZZTIME)
 
 # lint forbids ad-hoc printing in library code: internal/ packages must log
 # through log/slog (the server injects a request-scoped logger) so output
 # stays structured and greppable. Commands, examples and tests are exempt.
+# It also fails on any Go file gofmt would rewrite.
 lint:
+	@bad=$$(gofmt -l *.go cmd examples internal perfbench); \
+	if [ -n "$$bad" ]; then \
+		echo "lint: files not gofmt-formatted (run gofmt -w):"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@bad=$$(grep -rnE '(log\.(Print|Fatal|Panic)|fmt\.Print)' \
 		--include='*.go' --exclude='*_test.go' internal/ *.go 2>/dev/null; true); \
 	if [ -n "$$bad" ]; then \

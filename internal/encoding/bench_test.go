@@ -1,9 +1,12 @@
-package encoding
+package encoding_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"m4lsm/internal/encoding"
+	"m4lsm/internal/workload"
 )
 
 func sensorData(n int) ([]int64, []float64) {
@@ -29,17 +32,17 @@ func BenchmarkEncodeTimes(b *testing.B) {
 	b.SetBytes(8000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		EncodeTimes(nil, ts)
+		encoding.EncodeTimes(nil, ts)
 	}
 }
 
 func BenchmarkDecodeTimes(b *testing.B) {
 	ts, _ := sensorData(1000)
-	enc := EncodeTimes(nil, ts)
+	enc := encoding.EncodeTimes(nil, ts)
 	b.SetBytes(8000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeTimes(enc); err != nil {
+		if _, _, err := encoding.DecodeTimes(enc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -50,17 +53,17 @@ func BenchmarkEncodeValuesGorilla(b *testing.B) {
 	b.SetBytes(8000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		EncodeValues(nil, vs)
+		encoding.EncodeValues(nil, vs)
 	}
 }
 
 func BenchmarkDecodeValuesGorilla(b *testing.B) {
 	_, vs := sensorData(1000)
-	enc := EncodeValues(nil, vs)
+	enc := encoding.EncodeValues(nil, vs)
 	b.SetBytes(8000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeValues(enc); err != nil {
+		if _, _, err := encoding.DecodeValues(enc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,12 +71,51 @@ func BenchmarkDecodeValuesGorilla(b *testing.B) {
 
 func BenchmarkDecodeValuesPlain(b *testing.B) {
 	_, vs := sensorData(1000)
-	enc := EncodeValuesPlain(nil, vs)
+	enc := encoding.EncodeValuesPlain(nil, vs)
 	b.SetBytes(8000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeValuesPlain(enc); err != nil {
+		if _, _, err := encoding.DecodeValuesPlain(enc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPresets encodes and decodes a 1000-point chunk of each workload
+// preset, one column at a time. ns/op divided by 1000 is the cost per
+// value.
+func BenchmarkPresets(b *testing.B) {
+	for k, p := range workload.Presets() {
+		chunk := p.Generate(1000, int64(k+1))
+		ts, vs := chunk.Times(), chunk.Values()
+		tenc, venc := encoding.EncodeTimes(nil, ts), encoding.EncodeValues(nil, vs)
+		b.Run(p.Name+"/EncodeTimes", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				encoding.EncodeTimes(nil, ts)
+			}
+		})
+		b.Run(p.Name+"/DecodeTimes", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := encoding.DecodeTimes(tenc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(p.Name+"/EncodeValues", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				encoding.EncodeValues(nil, vs)
+			}
+		})
+		b.Run(p.Name+"/DecodeValues", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := encoding.DecodeValues(venc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -50,10 +50,11 @@ func (c Codec) EncodeValuesWith(dst []byte, vs []float64) []byte {
 	return EncodeValues(dst, vs)
 }
 
-// DecodeValuesWith dispatches to the codec's value decoder.
-func (c Codec) DecodeValuesWith(b []byte) ([]float64, []byte, error) {
+// AppendValuesWith dispatches to the codec's value decoder, appending the
+// decoded values to dst.
+func (c Codec) AppendValuesWith(dst []float64, b []byte) ([]float64, []byte, error) {
 	if c == CodecPlain {
-		return DecodeValuesPlain(b)
+		return appendValuesPlain(dst, b)
 	}
-	return DecodeValues(b)
+	return appendValues(dst, b)
 }

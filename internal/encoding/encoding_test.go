@@ -1,9 +1,11 @@
 package encoding
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -253,6 +255,37 @@ func TestPlainCorrupt(t *testing.T) {
 	if _, _, err := DecodeValuesPlain(encV[:len(encV)-1]); err == nil {
 		t.Error("short plain value block decoded")
 	}
+	// A count whose byte size overflows uint64 must not slip past the
+	// length check.
+	huge := append(AppendUvarint(nil, 1<<61), make([]byte, 16)...)
+	if _, _, err := DecodeTimesPlain(huge); err == nil {
+		t.Error("plain timestamp block with an overflowing count decoded")
+	}
+	if _, _, err := DecodeValuesPlain(huge); err == nil {
+		t.Error("plain value block with an overflowing count decoded")
+	}
+}
+
+// TestDecodeCountExceedsBlock: a block whose header claims more elements
+// than its bytes can hold is refused before the decoder allocates for the
+// claimed count.
+func TestDecodeCountExceedsBlock(t *testing.T) {
+	const claimed = 1 << 31
+	times := append(AppendUvarint(nil, claimed), 2, 2, 0, 0)
+	values := append(AppendUvarint(nil, claimed), 8)
+	values = append(values, make([]byte, 8)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := DecodeTimes(times); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("DecodeTimes: got %v, want ErrCorrupt", err)
+	}
+	if _, _, err := DecodeValues(values); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("DecodeValues: got %v, want ErrCorrupt", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("decoders allocated %d bytes for a %d-element claim in a few bytes", grew, claimed)
+	}
 }
 
 func TestCodecDispatch(t *testing.T) {
@@ -266,7 +299,7 @@ func TestCodecDispatch(t *testing.T) {
 		if err != nil || len(rest) != 0 || !reflect.DeepEqual(gt, ts) {
 			t.Fatalf("%v times: %v %v %v", c, gt, rest, err)
 		}
-		gv, rest, err := c.DecodeValuesWith(c.EncodeValuesWith(nil, vs))
+		gv, rest, err := c.AppendValuesWith(nil, c.EncodeValuesWith(nil, vs))
 		if err != nil || len(rest) != 0 || !reflect.DeepEqual(gv, vs) {
 			t.Fatalf("%v values: %v %v %v", c, gv, rest, err)
 		}

@@ -3,6 +3,7 @@ package encoding
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // Plain codecs store 8 bytes per element. They exist as the uncompressed
@@ -23,8 +24,8 @@ func DecodeTimesPlain(b []byte) ([]int64, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if uint64(len(b)) < count*8 {
-		return nil, nil, corruptf("plain timestamp block short: need %d bytes, have %d", count*8, len(b))
+	if uint64(len(b))/8 < count {
+		return nil, nil, corruptf("plain timestamp block short: need %d timestamps, have %d bytes", count, len(b))
 	}
 	ts := make([]int64, count)
 	for i := range ts {
@@ -43,17 +44,20 @@ func EncodeValuesPlain(dst []byte, vs []float64) []byte {
 }
 
 // DecodeValuesPlain decodes a block produced by EncodeValuesPlain.
-func DecodeValuesPlain(b []byte) ([]float64, []byte, error) {
+func DecodeValuesPlain(b []byte) ([]float64, []byte, error) { return appendValuesPlain(nil, b) }
+
+// appendValuesPlain is DecodeValuesPlain appending to dst.
+func appendValuesPlain(dst []float64, b []byte) ([]float64, []byte, error) {
 	count, b, err := Uvarint(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	if uint64(len(b)) < count*8 {
-		return nil, nil, corruptf("plain value block short: need %d bytes, have %d", count*8, len(b))
+	if uint64(len(b))/8 < count {
+		return nil, nil, corruptf("plain value block short: need %d values, have %d bytes", count, len(b))
 	}
-	vs := make([]float64, count)
-	for i := range vs {
-		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	dst = slices.Grow(dst, int(count))
+	for i := 0; i < int(count); i++ {
+		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:])))
 	}
-	return vs, b[count*8:], nil
+	return dst, b[count*8:], nil
 }

@@ -45,7 +45,12 @@ func DecodeTimes(b []byte) ([]int64, []byte, error) {
 	if count > maxCount {
 		return nil, nil, corruptf("timestamp count %d too large", count)
 	}
-	ts := make([]int64, 0, count)
+	// Every timestamp takes at least one byte, so a larger count would
+	// exhaust the block; refuse it before allocating.
+	if count > uint64(len(b)) {
+		return nil, nil, corruptf("timestamp count %d exceeds block of %d bytes", count, len(b))
+	}
+	ts := make([]int64, count)
 	if count == 0 {
 		return ts, b, nil
 	}
@@ -53,7 +58,7 @@ func DecodeTimes(b []byte) ([]int64, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ts = append(ts, t0)
+	ts[0] = t0
 	if count == 1 {
 		return ts, b, nil
 	}
@@ -61,15 +66,22 @@ func DecodeTimes(b []byte) ([]int64, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ts = append(ts, t0+delta)
-	for uint64(len(ts)) < count {
-		dod, rest, err := Varint(b)
-		if err != nil {
-			return nil, nil, err
+	ts[1] = t0 + delta
+	for i := 2; i < len(ts); i++ {
+		// On regular data the delta-of-delta is almost always 0: a
+		// one-byte varint, decoded inline.
+		if len(b) > 0 && b[0] < 0x80 {
+			delta += UnZigZag(uint64(b[0]))
+			b = b[1:]
+		} else {
+			dod, rest, err := Varint(b)
+			if err != nil {
+				return nil, nil, err
+			}
+			delta += dod
+			b = rest
 		}
-		b = rest
-		delta += dod
-		ts = append(ts, ts[len(ts)-1]+delta)
+		ts[i] = ts[i-1] + delta
 	}
 	return ts, b, nil
 }

@@ -3,6 +3,7 @@ package encoding
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Gorilla XOR codec for float64 values (Pelkonen et al., VLDB'15), the
@@ -66,7 +67,11 @@ func EncodeValues(dst []byte, vs []float64) []byte {
 
 // DecodeValues decodes a block produced by EncodeValues and returns the
 // values along with the remaining buffer.
-func DecodeValues(b []byte) ([]float64, []byte, error) {
+func DecodeValues(b []byte) ([]float64, []byte, error) { return appendValues(nil, b) }
+
+// appendValues is DecodeValues appending to dst. The control bits and the
+// window header are tested straight off the reader's accumulator.
+func appendValues(dst []float64, b []byte) ([]float64, []byte, error) {
 	count, b, err := Uvarint(b)
 	if err != nil {
 		return nil, nil, err
@@ -75,9 +80,8 @@ func DecodeValues(b []byte) ([]float64, []byte, error) {
 	if count > maxCount {
 		return nil, nil, corruptf("value count %d too large", count)
 	}
-	vs := make([]float64, 0, count)
 	if count == 0 {
-		return vs, b, nil
+		return dst, b, nil
 	}
 	plen, b, err := Uvarint(b)
 	if err != nil {
@@ -86,51 +90,58 @@ func DecodeValues(b []byte) ([]float64, []byte, error) {
 	if plen > uint64(len(b)) {
 		return nil, nil, corruptf("value payload %d exceeds buffer %d", plen, len(b))
 	}
+	// The first value takes 64 bits and every later one at least 1, so a
+	// larger count would exhaust the stream; refuse it before allocating.
+	if plen*8 < 64 || count-1 > plen*8-64 {
+		return nil, nil, corruptf("value count %d exceeds payload of %d bytes", count, plen)
+	}
 	r := newBitReader(b[:plen])
 	rest := b[plen:]
-	first, err := r.readBits(64)
+	prev, err := r.readBits(64)
 	if err != nil {
 		return nil, nil, err
 	}
-	prev := first
-	vs = append(vs, math.Float64frombits(prev))
+	dst = slices.Grow(dst, int(count))
+	vs := dst[len(dst) : len(dst)+int(count)]
+	vs[0] = math.Float64frombits(prev)
 	var leading, trailing uint
-	for uint64(len(vs)) < count {
-		ctl, err := r.readBit()
-		if err != nil {
-			return nil, nil, err
+	for i := 1; i < len(vs); i++ {
+		// 13 bits: the longest control-and-header prefix, '11' + 5 + 6.
+		if r.n < 13 {
+			r.refill()
 		}
-		if ctl == 0 {
-			vs = append(vs, math.Float64frombits(prev))
+		switch {
+		case r.acc>>63 == 0: // '0': same as previous
+			if r.n < 1 {
+				return nil, nil, r.exhausted()
+			}
+			r.consume(1)
+			vs[i] = vs[i-1]
 			continue
-		}
-		ctl, err = r.readBit()
-		if err != nil {
-			return nil, nil, err
-		}
-		if ctl == 1 {
-			lz, err := r.readBits(5)
-			if err != nil {
-				return nil, nil, err
+		case r.acc>>62 == 0b10: // '10': fits the previous window
+			if r.n < 2 {
+				return nil, nil, r.exhausted()
 			}
-			nm1, err := r.readBits(6)
-			if err != nil {
-				return nil, nil, err
+			r.consume(2)
+		default: // '11': new window
+			if r.n < 13 {
+				return nil, nil, r.exhausted()
 			}
-			leading = uint(lz)
-			n := uint(nm1) + 1
+			hdr := uint(r.acc >> 51)
+			r.consume(13)
+			leading = hdr >> 6 & 31
+			n := hdr&63 + 1
 			if leading+n > 64 {
 				return nil, nil, corruptf("window leading=%d sig=%d", leading, n)
 			}
 			trailing = 64 - leading - n
 		}
-		n := 64 - leading - trailing
-		sig, err := r.readBits(n)
+		sig, err := r.readBits(64 - leading - trailing)
 		if err != nil {
 			return nil, nil, err
 		}
 		prev ^= sig << trailing
-		vs = append(vs, math.Float64frombits(prev))
+		vs[i] = math.Float64frombits(prev)
 	}
-	return vs, rest, nil
+	return dst[:len(dst)+int(count)], rest, nil
 }

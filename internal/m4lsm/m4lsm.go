@@ -271,7 +271,10 @@ type operator struct {
 	deletes  []storage.Delete // sorted by version
 	deleteIx *storage.DeleteIndex
 	budget   *govern.Budget // nil: unbudgeted (methods are nil-safe)
-	degraded atomic.Bool    // a chunk was dropped; the result is partial
+
+	// Why chunks were dropped; either makes the result partial.
+	unreadable atomic.Bool // a chunk failed to load
+	budgeted   atomic.Bool // the budget refused a chunk load
 
 	tr  *obs.Trace           // nil unless the query context carries a trace
 	met *obs.OperatorMetrics // nil unless Options.Metrics is set
@@ -290,7 +293,7 @@ func (op *operator) addState(ref storage.ChunkRef) *chunkState {
 // reportBad records an unreadable chunk exactly once per query, flagging
 // the result as degraded and notifying the snapshot (warning + quarantine).
 func (op *operator) reportBad(cs *chunkState, err error) {
-	op.degraded.Store(true)
+	op.unreadable.Store(true)
 	cs.mu.Lock()
 	already := cs.reported
 	cs.reported = true
@@ -305,7 +308,7 @@ func (op *operator) reportBad(cs *chunkState, err error) {
 // snapshot producer is NOT notified, because nothing is wrong with the
 // chunk's bytes and it must not be quarantined.
 func (op *operator) budgetDenied(cs *chunkState, err error) {
-	op.degraded.Store(true)
+	op.budgeted.Store(true)
 	cs.mu.Lock()
 	already := cs.reported
 	cs.reported = true
@@ -313,6 +316,22 @@ func (op *operator) budgetDenied(cs *chunkState, err error) {
 	if !already {
 		op.snap.Warnings.Add("chunk %s v%d skipped by budget: %v", cs.meta.SeriesID, cs.meta.Version, err)
 	}
+}
+
+// dropCause reports whether the query dropped chunks and names the cause
+// for the FP-substitution warning: a budget refusal says nothing about the
+// chunk's bytes, so it must not read as an unreadable chunk.
+func (op *operator) dropCause() (string, bool) {
+	unreadable, budgeted := op.unreadable.Load(), op.budgeted.Load()
+	switch {
+	case unreadable && budgeted:
+		return "unreadable and budget-refused chunks", true
+	case unreadable:
+		return "unreadable chunks", true
+	case budgeted:
+		return "budget-refused chunks", true
+	}
+	return "", false
 }
 
 // chunkState caches per-chunk loads across spans and functions. The mutex
@@ -387,14 +406,15 @@ func (op *operator) ensureDataLocked(cs *chunkState) error {
 	if err := op.budget.ChargeChunk(int64(cs.meta.Count)); err != nil {
 		return err
 	}
-	data, err := cs.ref.Load()
+	// The time column comes with the load: the decode produces it anyway.
+	data, ts, err := cs.ref.LoadWithTimes()
 	if err != nil {
 		cs.loadErr = err
 		return err
 	}
 	cs.data = data
 	if !cs.hasTimes {
-		cs.times = data.Times()
+		cs.times = ts
 		cs.buildProbe(op.opts)
 		cs.hasTimes = true
 	}

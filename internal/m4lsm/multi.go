@@ -345,10 +345,10 @@ func (p *seriesPlan) assemble(rest []gKind) error {
 				// metadata, the data load failed later). FP's point is a
 				// real surviving point of the span, so substitute it — a
 				// valid, if non-extremal, representation — and warn.
-				if !op.opts.Strict && op.degraded.Load() {
+				if cause, dropped := op.dropCause(); dropped && !op.opts.Strict {
 					// The aggregate fields default to FP, so skipping the
 					// assignment below is the substitution.
-					op.snap.Warnings.Add("span %d: %v lost to unreadable chunks, substituted FP", i, rest[kind])
+					op.snap.Warnings.Add("span %d: %v lost to %s, substituted FP", i, rest[kind], cause)
 					continue
 				}
 				return fmt.Errorf("internal: span %d: %v empty after FP found %v", i, rest[kind], fp)

@@ -97,6 +97,24 @@ func (r *retrySource) ReadChunk(meta ChunkMeta) (series.Series, error) {
 	return out, nil
 }
 
+// ReadChunkColumns implements ColumnSource, passing through the inner
+// source's time column.
+func (r *retrySource) ReadChunkColumns(meta ChunkMeta) (series.Series, []int64, error) {
+	var (
+		data series.Series
+		ts   []int64
+	)
+	err := r.do(func() error {
+		var e error
+		data, ts, e = readColumns(r.inner, meta)
+		return e
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return data, ts, nil
+}
+
 // ReadTimes implements ChunkSource.
 func (r *retrySource) ReadTimes(meta ChunkMeta) ([]int64, error) {
 	var out []int64
@@ -111,4 +129,7 @@ func (r *retrySource) ReadTimes(meta ChunkMeta) ([]int64, error) {
 	return out, nil
 }
 
-var _ ChunkSource = (*retrySource)(nil)
+var (
+	_ ChunkSource  = (*retrySource)(nil)
+	_ ColumnSource = (*retrySource)(nil)
+)

@@ -121,6 +121,28 @@ type CachedSource interface {
 	ReadTimesCached(meta ChunkMeta) (ts []int64, hit bool, err error)
 }
 
+// ColumnSource is the optional interface of chunk sources that decode a
+// chunk's time column on the way to its points (tsfile.Reader). ChunkRef
+// hands that column to callers that keep one, such as the step-index
+// probe, instead of copying it back out of the points.
+type ColumnSource interface {
+	// ReadChunkColumns is ReadChunk plus the chunk's time column.
+	ReadChunkColumns(meta ChunkMeta) (series.Series, []int64, error)
+}
+
+// readColumns reads a chunk and its time column, taking the column from
+// the source's own decode when it offers one.
+func readColumns(src ChunkSource, meta ChunkMeta) (series.Series, []int64, error) {
+	if cs, ok := src.(ColumnSource); ok {
+		return cs.ReadChunkColumns(meta)
+	}
+	data, err := src.ReadChunk(meta)
+	if err != nil {
+		return nil, nil, err
+	}
+	return data, data.Times(), nil
+}
+
 // ChunkRef binds chunk metadata to its source and to the snapshot's cost
 // counters. Operators load chunk contents exclusively through ChunkRef so
 // every experiment accounts cost identically.
@@ -137,26 +159,39 @@ func NewChunkRef(meta ChunkMeta, src ChunkSource, stats *Stats) ChunkRef {
 
 // Load reads and decodes the full chunk.
 func (c ChunkRef) Load() (series.Series, error) {
-	var (
-		data series.Series
-		hit  bool
-		err  error
-	)
+	data, _, err := c.load(false)
+	return data, err
+}
+
+// LoadWithTimes is Load plus the chunk's time column, taken from the
+// decode when the source offers it (ColumnSource) instead of copied out of
+// the points.
+func (c ChunkRef) LoadWithTimes() (series.Series, []int64, error) {
+	return c.load(true)
+}
+
+func (c ChunkRef) load(withTimes bool) (data series.Series, ts []int64, err error) {
 	if cs, ok := c.source.(CachedSource); ok {
+		var hit bool
 		data, hit, err = cs.ReadChunkCached(c.Meta)
 		c.countCache(hit)
+		if err == nil && withTimes {
+			ts = data.Times()
+		}
+	} else if withTimes {
+		data, ts, err = readColumns(c.source, c.Meta)
 	} else {
 		data, err = c.source.ReadChunk(c.Meta)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("load %v: %w", c.Meta, err)
+		return nil, nil, fmt.Errorf("load %v: %w", c.Meta, err)
 	}
 	if c.stats != nil {
 		atomic.AddInt64(&c.stats.ChunksLoaded, 1)
 		atomic.AddInt64(&c.stats.BytesRead, c.Meta.HeaderLen+c.Meta.TimesLen+c.Meta.ValuesLen)
 		atomic.AddInt64(&c.stats.PointsDecoded, c.Meta.Count)
 	}
-	return data, nil
+	return data, ts, nil
 }
 
 // LoadTimes reads and decodes only the timestamp block.

@@ -1,6 +1,7 @@
 package tsfile
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -140,3 +141,43 @@ func TestModsEveryByteFlip(t *testing.T) {
 
 // genSeries is shared with tsfile_test.go.
 var _ = func() series.Series { return genSeries(1, 1) }
+
+// TestChunkExtentBeyondFile: metadata whose extent runs past the end of the
+// file, or is negative, is corrupt; the reader must say so rather than
+// size a buffer from it.
+func TestChunkExtentBeyondFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.tsf")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := w.WriteChunk("s", 1, encoding.CodecGorilla, genSeries(64, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for name, mutate := range map[string]func(*storage.ChunkMeta){
+		"huge values":     func(m *storage.ChunkMeta) { m.ValuesLen = 1 << 62 },
+		"negative offset": func(m *storage.ChunkMeta) { m.Offset = -1 },
+		"sum overflows":   func(m *storage.ChunkMeta) { m.TimesLen, m.ValuesLen = 1<<62, 1<<62 },
+		"past the end":    func(m *storage.ChunkMeta) { m.Offset += 1 << 20 },
+	} {
+		bad := meta
+		mutate(&bad)
+		if _, err := r.ReadChunk(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: ReadChunk got %v, want ErrCorrupt", name, err)
+		}
+		if name != "huge values" {
+			if _, err := r.ReadTimes(bad); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: ReadTimes got %v, want ErrCorrupt", name, err)
+			}
+		}
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
+	"sync"
 
 	"m4lsm/internal/encoding"
 	"m4lsm/internal/series"
@@ -136,14 +138,31 @@ func (r *Reader) Close() error {
 	return r.closer.Close()
 }
 
+// scratch is the working memory of one chunk read that does not outlive
+// it: the raw chunk bytes, and the value column that ReadChunk decodes
+// before zipping it with the time column into points. Pooling it spares
+// every load two allocations.
+type scratch struct {
+	raw []byte
+	vs  []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // readBlocks fetches header + timestamp block and optionally the value
-// block of a chunk, verifying checksums.
-func (r *Reader) readBlocks(meta storage.ChunkMeta, withValues bool) (times, values []byte, err error) {
+// block of a chunk into sc.raw, verifying checksums.
+func (r *Reader) readBlocks(meta storage.ChunkMeta, withValues bool, sc *scratch) (times, values []byte, err error) {
 	n := meta.HeaderLen + meta.TimesLen
 	if withValues {
 		n += meta.ValuesLen
 	}
-	buf := make([]byte, n)
+	// Bound the read by the file before sizing a buffer that the pool
+	// would keep.
+	if meta.Offset < 0 || meta.HeaderLen < 0 || meta.TimesLen < 0 || meta.ValuesLen < 0 || n < 0 || n > r.size-meta.Offset {
+		return nil, nil, fmt.Errorf("%w: chunk at %d+%d exceeds the %d-byte file", ErrCorrupt, meta.Offset, n, r.size)
+	}
+	sc.raw = slices.Grow(sc.raw[:0], int(n))[:n]
+	buf := sc.raw
 	if _, err := r.ra.ReadAt(buf, meta.Offset); err != nil {
 		return nil, nil, fmt.Errorf("read chunk at %d: %w", meta.Offset, err)
 	}
@@ -169,28 +188,39 @@ func (r *Reader) readBlocks(meta storage.ChunkMeta, withValues bool) (times, val
 
 // ReadChunk implements storage.ChunkSource.
 func (r *Reader) ReadChunk(meta storage.ChunkMeta) (series.Series, error) {
-	timesBlock, valuesBlock, err := r.readBlocks(meta, true)
+	data, _, err := r.ReadChunkColumns(meta)
+	return data, err
+}
+
+// ReadChunkColumns implements storage.ColumnSource: ReadChunk plus the
+// decoded time column, which the caller may keep.
+func (r *Reader) ReadChunkColumns(meta storage.ChunkMeta) (series.Series, []int64, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	timesBlock, valuesBlock, err := r.readBlocks(meta, true, sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ts, rest, err := meta.Codec.DecodeTimesWith(timesBlock)
 	if err != nil || len(rest) != 0 {
-		return nil, fmt.Errorf("%w: timestamp block decode (%v)", ErrCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: timestamp block decode (%v)", ErrCorrupt, err)
 	}
-	vs, rest, err := meta.Codec.DecodeValuesWith(valuesBlock)
+	sc.vs, rest, err = meta.Codec.AppendValuesWith(sc.vs[:0], valuesBlock)
 	if err != nil || len(rest) != 0 {
-		return nil, fmt.Errorf("%w: value block decode (%v)", ErrCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: value block decode (%v)", ErrCorrupt, err)
 	}
-	if int64(len(ts)) != meta.Count || len(ts) != len(vs) {
-		return nil, fmt.Errorf("%w: count mismatch: meta %d, times %d, values %d", ErrCorrupt, meta.Count, len(ts), len(vs))
+	if int64(len(ts)) != meta.Count || len(ts) != len(sc.vs) {
+		return nil, nil, fmt.Errorf("%w: count mismatch: meta %d, times %d, values %d", ErrCorrupt, meta.Count, len(ts), len(sc.vs))
 	}
-	return series.FromColumns(ts, vs), nil
+	return series.FromColumns(ts, sc.vs), ts, nil
 }
 
 // ReadTimes implements storage.ChunkSource: it fetches and decodes only the
 // timestamp block.
 func (r *Reader) ReadTimes(meta storage.ChunkMeta) ([]int64, error) {
-	timesBlock, _, err := r.readBlocks(meta, false)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	timesBlock, _, err := r.readBlocks(meta, false, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -204,4 +234,7 @@ func (r *Reader) ReadTimes(meta storage.ChunkMeta) ([]int64, error) {
 	return ts, nil
 }
 
-var _ storage.ChunkSource = (*Reader)(nil)
+var (
+	_ storage.ChunkSource  = (*Reader)(nil)
+	_ storage.ColumnSource = (*Reader)(nil)
+)
