@@ -68,8 +68,9 @@ soak:
 
 # fuzz exercises the crash-recovery parsers (WAL payloads, chunk-file
 # footers, record logs), the m4ql parser including the REPRESENT
-# clause, the /write line-protocol parser, and the chunk column codecs
-# (differential against the bit-at-a-time oracle). Go allows one -fuzz
+# clause, the /write line-protocol parser, the chunk column codecs
+# (differential against the bit-at-a-time oracle), and the step-regression
+# index build (differential against the sort-based oracle). Go allows one -fuzz
 # target per invocation, so each runs separately for FUZZTIME (the seed
 # corpus also runs in plain `make test`).
 fuzz:
@@ -83,6 +84,7 @@ fuzz:
 	$(GO) test ./internal/tsfile -run '^$$' -fuzz '^FuzzSegmentHeader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzDecodeValues$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzDecodeTimes$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stepreg -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME)
 
 # lint forbids ad-hoc printing in library code: internal/ packages must log
 # through log/slog (the server injects a request-scoped logger) so output

@@ -17,6 +17,7 @@ import (
 	intm4lsm "m4lsm/internal/m4lsm"
 	"m4lsm/internal/m4udf"
 	"m4lsm/internal/mergeread"
+	"m4lsm/internal/obs"
 	"m4lsm/internal/series"
 	"m4lsm/internal/workload"
 )
@@ -187,6 +188,35 @@ func BenchmarkM4LSMParallel(b *testing.B) {
 			db.query(b, q, true, intm4lsm.Options{Parallelism: par})
 		})
 	}
+}
+
+// BenchmarkFragmentQuery is the dashboard-shaped operator query: an
+// unaligned range (neither edge on a pyramid cell boundary, so every
+// pyramid span runs two boundary-fragment candidate loops), the rollup
+// pyramid on, and Options.Metrics set, so every task is timed into
+// m4_task_seconds. allocs/op tracks the per-task bookkeeping.
+func BenchmarkFragmentQuery(b *testing.B) {
+	nChunks := benchPoints / benchChunkSize
+	db := buildBenchDB(b, workload.KOB(), benchPoints, benchChunkSize, 0.3,
+		workload.DeleteOptions{Count: nChunks / 5, RangeMillis: 60_000, Seed: 7},
+		encoding.CodecGorilla)
+	span := db.tqe - db.tqs
+	q := m4.Query{Tqs: db.tqs + span/97 + 777, Tqe: db.tqe - span/89 - 12345, W: 1000}
+	reg := obs.NewRegistry()
+	var pyramidSpans int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap, err := db.engine.Snapshot(db.id, q.Range())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := intm4lsm.ComputeWithOptions(snap, q, intm4lsm.Options{Metrics: reg}); err != nil {
+			b.Fatal(err)
+		}
+		pyramidSpans += snap.Stats.Load().PyramidSpans
+	}
+	b.ReportMetric(float64(pyramidSpans)/float64(b.N), "pyramidSpans/op")
 }
 
 // BenchmarkM4UDFParallel is the same sweep for the baseline's per-span-block

@@ -33,9 +33,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"m4lsm/internal/govern"
 	"m4lsm/internal/m4"
@@ -121,60 +121,6 @@ func ComputeContext(ctx context.Context, snap *storage.Snapshot, q m4.Query, opt
 	return outs[0], nil
 }
 
-// timedG wraps computeG with per-task timing when tracing or metrics are
-// armed; otherwise it forwards with zero overhead beyond two nil checks.
-func (op *operator) timedG(spanIdx int, span series.TimeRange, chunks []*chunkState, g gKind) (series.Point, bool, error) {
-	if op.tr == nil && op.met == nil {
-		return op.computeG(span, chunks, g)
-	}
-	t0 := time.Now()
-	pt, ok, err := op.computeG(span, chunks, g)
-	d := time.Since(t0)
-	op.tr.Task(spanIdx, g.String(), d)
-	op.met.RecordTask(d)
-	return pt, ok, err
-}
-
-// runPool executes tasks 0..n-1 across at most par worker goroutines,
-// pulling task indexes off a shared atomic counter. par <= 1 runs inline
-// on the calling goroutine with zero scheduling overhead. A task error
-// stops the pool early; callers inspect per-task results for the error.
-func runPool(par, n int, run func(int) error) {
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for t := 0; t < n; t++ {
-			if run(t) != nil {
-				return
-			}
-		}
-		return
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= n || failed.Load() {
-					return
-				}
-				if run(t) != nil {
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // gKind names the four representation functions as task coordinates.
 type gKind uint8
 
@@ -209,48 +155,6 @@ type gResult struct {
 	err error
 }
 
-// computeG evaluates one representation function over one span: the unit
-// of work the pool schedules. Views are task-local, so concurrent tasks on
-// the same span never share mutable state; per-task counters flush into
-// the shared stats with one atomic Add on the way out.
-func (op *operator) computeG(span series.TimeRange, chunks []*chunkState, g gKind) (series.Point, bool, error) {
-	if err := op.ctx.Err(); err != nil {
-		return series.Point{}, false, err
-	}
-	// Strict queries abort outright on a blown deadline; lenient ones keep
-	// going — the candidate loop itself is metadata-cheap, and any further
-	// chunk load is refused by ChargeChunk and degrades via chunkFailed.
-	if op.opts.Strict {
-		if err := op.budget.CheckDeadline(); err != nil {
-			return series.Point{}, false, err
-		}
-	}
-	sc := &spanComputer{op: op, span: span, views: make([]*view, len(chunks))}
-	defer func() { op.stats.Add(sc.local) }()
-	for i, cs := range chunks {
-		sc.views[i] = sc.newView(cs)
-	}
-	if op.opts.EagerLoad {
-		for _, v := range sc.views {
-			if err := sc.materialize(v); err != nil {
-				if err := sc.chunkFailed(v, err); err != nil {
-					return series.Point{}, false, err
-				}
-			}
-		}
-	}
-	switch g {
-	case gFP:
-		return sc.computeTimeExtreme(true)
-	case gLP:
-		return sc.computeTimeExtreme(false)
-	case gBP:
-		return sc.computeValueExtreme(true)
-	default:
-		return sc.computeValueExtreme(false)
-	}
-}
-
 func clampSpan(q m4.Query, t int64) int {
 	if t < q.Tqs {
 		t = q.Tqs
@@ -262,6 +166,7 @@ func clampSpan(q m4.Query, t int64) int {
 }
 
 type operator struct {
+	idx      int // position in the batch; indexes worker.stats
 	ctx      context.Context
 	snap     *storage.Snapshot
 	q        m4.Query
@@ -275,9 +180,6 @@ type operator struct {
 	// Why chunks were dropped; either makes the result partial.
 	unreadable atomic.Bool // a chunk failed to load
 	budgeted   atomic.Bool // the budget refused a chunk load
-
-	tr  *obs.Trace           // nil unless the query context carries a trace
-	met *obs.OperatorMetrics // nil unless Options.Metrics is set
 }
 
 // addState materializes the shared chunkState for one snapshot chunk and
@@ -338,8 +240,10 @@ func (op *operator) dropCause() (string, bool) {
 // is the singleflight gate: N workers racing to materialize the same chunk
 // serialize on it, the first performs the LoadTimes/Load I/O, and the rest
 // find the columns already present — exactly one load per chunk per query
-// regardless of parallelism. The loaded columns are written once under the
-// lock and never mutated, so post-ensure reads outside the lock are safe.
+// regardless of parallelism. The loaded columns and the step index are
+// written once under the lock and never mutated, so post-ensure reads
+// outside the lock are safe. The index is built on the chunk's first probe,
+// so a chunk loaded only for its values never pays for one.
 type chunkState struct {
 	ref  storage.ChunkRef
 	meta storage.ChunkMeta
@@ -354,9 +258,25 @@ type chunkState struct {
 	reported bool  // the failure has been reported to the snapshot
 }
 
-func (op *operator) ensureTimes(cs *chunkState) error {
+// ensureProbe makes the chunk's timestamps and step index available,
+// loading the timestamps if no earlier load brought them.
+func (op *operator) ensureProbe(cs *chunkState) error {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
+	if err := op.ensureTimesLocked(cs); err != nil {
+		return err
+	}
+	if cs.probe == nil {
+		if op.opts.DisableStepIndex {
+			cs.probe = stepreg.NewPlain(cs.times)
+		} else {
+			cs.probe = stepreg.Build(cs.times)
+		}
+	}
+	return nil
+}
+
+func (op *operator) ensureTimesLocked(cs *chunkState) error {
 	if cs.loadErr != nil {
 		return cs.loadErr
 	}
@@ -382,7 +302,6 @@ func (op *operator) ensureTimes(cs *chunkState) error {
 		return err
 	}
 	cs.times = ts
-	cs.buildProbe(op.opts)
 	cs.hasTimes = true
 	return nil
 }
@@ -415,25 +334,16 @@ func (op *operator) ensureDataLocked(cs *chunkState) error {
 	cs.data = data
 	if !cs.hasTimes {
 		cs.times = ts
-		cs.buildProbe(op.opts)
 		cs.hasTimes = true
 	}
 	cs.hasData = true
 	return nil
 }
 
-func (cs *chunkState) buildProbe(opts Options) {
-	if opts.DisableStepIndex {
-		cs.probe = stepreg.NewPlain(cs.times)
-	} else {
-		cs.probe = stepreg.Build(cs.times)
-	}
-}
-
 // exists probes whether the chunk contains a point at exactly t
 // (Table 1 case a).
 func (sc *spanComputer) exists(cs *chunkState, t int64) (bool, error) {
-	if err := sc.op.ensureTimes(cs); err != nil {
+	if err := sc.op.ensureProbe(cs); err != nil {
 		return false, err
 	}
 	sc.local.IndexProbes++
@@ -477,27 +387,26 @@ type view struct {
 	bottom       gSlot
 	top          gSlot
 	excluded     map[int64]bool // timestamps verified overwritten by later chunks (lazily allocated)
-	live         series.Series  // surviving span points, set by materialize
 	materialized bool
 	dead         bool // no surviving points in the span
 }
 
 // spanComputer runs one candidate loop for one span. It is task-local:
-// its views (and their slots, exclusion sets and live series) belong to a
-// single goroutine, and operator counters accumulate in local before one
-// atomic flush when the task finishes.
+// its views (and their slots and exclusion sets) live in its worker's
+// view array, and operator counters accumulate in the worker's counters
+// for the series (local), merged into the series' Stats once per wave.
 type spanComputer struct {
 	op    *operator
 	span  series.TimeRange
-	views []*view
-	local storage.Stats
+	views []view
+	local *storage.Stats
 }
 
-// newView restricts chunk metadata to the span: the virtual deletes of
+// initView restricts chunk metadata to the span: the virtual deletes of
 // §3.1. Metadata points falling outside the span degrade to bounds.
-func (sc *spanComputer) newView(cs *chunkState) *view {
+func (sc *spanComputer) initView(v *view, cs *chunkState) {
 	m := cs.meta
-	v := &view{cs: cs, ver: m.Version}
+	*v = view{cs: cs, ver: m.Version}
 	if m.First.T >= sc.span.Start {
 		v.first = gSlot{st: stPoint, pt: m.First}
 	} else {
@@ -518,7 +427,6 @@ func (sc *spanComputer) newView(cs *chunkState) *view {
 	} else {
 		v.top = gSlot{st: stBoundValue, pt: series.Point{V: m.Top.V}}
 	}
-	return v
 }
 
 // chunkFailed routes a chunk read error: under Strict — or when the query's
@@ -558,7 +466,8 @@ func (sc *spanComputer) deletedLater(t int64, ver storage.Version) (storage.Dele
 // Definition 2.7 this holds regardless of whether that later point is
 // itself deleted.
 func (sc *spanComputer) overwrittenLater(t int64, ver storage.Version) (bool, error) {
-	for _, w := range sc.views {
+	for i := range sc.views {
+		w := &sc.views[i]
 		if w.ver <= ver {
 			continue
 		}
@@ -593,25 +502,44 @@ func (sc *spanComputer) materialize(v *view) error {
 }
 
 // recompute refreshes a materialized view's slots from its surviving span
-// points.
+// points in one pass: the points are filtered (known overwrites, later
+// deletes) and folded into FP/LP/BP/TP as they are visited. The fold breaks
+// ties exactly like storage.ComputeMeta over the surviving points: the
+// first of equal extremes wins.
 func (sc *spanComputer) recompute(v *view) {
-	base := v.cs.data.Slice(sc.span)
-	live := make(series.Series, 0, len(base))
-	for _, p := range base {
-		if v.excluded[p.T] {
-			continue
-		}
-		if sc.op.deleteIx.Covered(p.T, v.ver) {
-			continue
-		}
-		live = append(live, p)
-	}
-	v.live = live
-	if len(live) == 0 {
+	data := v.cs.data
+	i := sort.Search(len(data), func(i int) bool { return data[i].T >= sc.span.Start })
+	if i == len(data) || data[i].T >= sc.span.End {
 		v.dead = true
 		return
 	}
-	first, last, bottom, top, _ := storage.ComputeMeta(live)
+	del := sc.op.deleteIx.Cursor(data[i].T, v.ver)
+	var first, last, bottom, top series.Point
+	found := false
+	for ; i < len(data) && data[i].T < sc.span.End; i++ {
+		p := data[i]
+		if v.excluded != nil && v.excluded[p.T] {
+			continue
+		}
+		if del.Covered(p.T) {
+			continue
+		}
+		last = p
+		if !found {
+			first, bottom, top, found = p, p, p, true
+			continue
+		}
+		if p.V < bottom.V {
+			bottom = p
+		}
+		if p.V > top.V {
+			top = p
+		}
+	}
+	if !found {
+		v.dead = true
+		return
+	}
 	v.first = gSlot{st: stVerifiedPoint, pt: first}
 	v.last = gSlot{st: stVerifiedPoint, pt: last}
 	v.bottom = gSlot{st: stVerifiedPoint, pt: bottom}
@@ -648,7 +576,8 @@ func (sc *spanComputer) computeTimeExtreme(isFirst bool) (series.Point, bool, er
 		// Candidate generation (§3.2): the extreme time over all views,
 		// bounds included; among equal times the largest version.
 		var best *view
-		for _, v := range sc.views {
+		for i := range sc.views {
+			v := &sc.views[i]
 			if v.dead {
 				continue
 			}
@@ -765,7 +694,7 @@ func (sc *spanComputer) refuteTimeByDelete(v *view, isFirst bool, d storage.Dele
 // kills the view): partial-load the timestamps, find the closest point
 // after/before the bound with the chunk index, and chain over deletes.
 func (sc *spanComputer) resolveTimeBound(v *view, isFirst bool) error {
-	if err := sc.op.ensureTimes(v.cs); err != nil {
+	if err := sc.op.ensureProbe(v.cs); err != nil {
 		return err
 	}
 	slot := v.timeSlot(isFirst)
@@ -833,7 +762,8 @@ func (sc *spanComputer) computeValueExtreme(isBottom bool) (series.Point, bool, 
 		// it can hide the true extremum and must win ties for
 		// resolution); among equals the largest version.
 		var best *view
-		for _, v := range sc.views {
+		for i := range sc.views {
+			v := &sc.views[i]
 			if v.dead {
 				continue
 			}

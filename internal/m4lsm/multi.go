@@ -82,13 +82,16 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 	}
 
 	plans := make([]*seriesPlan, len(snaps))
+	ops := make([]*operator, len(snaps))
 	for i, snap := range snaps {
-		plans[i] = newSeriesPlan(ctx, snap, q, opts, tr, met, instrumented)
+		plans[i] = newSeriesPlan(ctx, i, snap, q, opts, instrumented)
+		ops[i] = plans[i].op
 	}
 	par := opts.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
+	pool := newPool(par, ops, tr, met)
 	phase("plan")
 
 	// Wave 1: every series' FP tasks in one pool, alongside the pyramid
@@ -111,16 +114,16 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 			fpTasks = append(fpTasks, fpRef{pi, k, true})
 		}
 	}
-	runPool(par, len(fpTasks), func(t int) error {
+	pool.run(len(fpTasks), func(w *worker, t int) error {
 		ref := fpTasks[t]
 		p := plans[ref.plan]
 		if ref.pyramid {
-			err := p.computePyramidSpan(ref.k)
+			err := p.computePyramidSpan(w, ref.k)
 			p.pyrErrs[ref.k] = err
 			return err
 		}
 		span := p.work[ref.k]
-		pt, ok, err := p.op.timedG(span, q.Span(span), p.perSpan[span], gFP)
+		pt, ok, err := w.computeG(p.op, span, q.Span(span), p.perSpan[span], gFP)
 		p.firsts[ref.k] = gResult{pt: pt, ok: ok, err: err}
 		return err
 	})
@@ -159,11 +162,11 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 			}
 		}
 	}
-	runPool(par, len(restTasks), func(t int) error {
+	pool.run(len(restTasks), func(w *worker, t int) error {
 		ref := restTasks[t]
 		p := plans[ref.plan]
 		span := p.work[p.live[ref.j]]
-		pt, ok, err := p.op.timedG(span, q.Span(span), p.perSpan[span], rest[ref.kind])
+		pt, ok, err := w.computeG(p.op, span, q.Span(span), p.perSpan[span], rest[ref.kind])
 		p.rests[restCount*ref.j+ref.kind] = gResult{pt: pt, ok: ok, err: err}
 		return err
 	})
@@ -231,8 +234,8 @@ type seriesPlan struct {
 // (the singleflight gate), deletes sorted by version, chunks distributed to
 // spans by index interval, and spans with no chunks answered Empty with no
 // task at all.
-func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts Options, tr *obs.Trace, met *obs.OperatorMetrics, instrumented bool) *seriesPlan {
-	op := &operator{ctx: ctx, snap: snap, q: q, opts: opts, stats: snap.Stats, budget: opts.Budget, tr: tr, met: met}
+func newSeriesPlan(ctx context.Context, idx int, snap *storage.Snapshot, q m4.Query, opts Options, instrumented bool) *seriesPlan {
+	op := &operator{idx: idx, ctx: ctx, snap: snap, q: q, opts: opts, stats: snap.Stats, budget: opts.Budget}
 	if op.stats == nil {
 		op.stats = &storage.Stats{}
 	}

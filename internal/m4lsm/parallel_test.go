@@ -92,7 +92,7 @@ func TestRunPool(t *testing.T) {
 	for _, par := range []int{0, 1, 2, 4, 16} {
 		const n = 100
 		hits := make([]int32, n)
-		runPool(par, n, func(i int) error {
+		newPool(par, nil, nil, nil).run(n, func(_ *worker, i int) error {
 			hits[i]++
 			return nil
 		})

@@ -41,6 +41,13 @@ func planPyramid(snap *storage.Snapshot, q m4.Query, opts Options) []*pyrSpanPla
 		return nil
 	}
 	plans := make([]*pyrSpanPlan, q.W)
+	// One allocation holds every span's plan, one more every fragment's
+	// first two chunks (the common case for in-order data; a third
+	// reallocates that fragment's list).
+	var (
+		backing []pyrSpanPlan
+		frags   []*chunkState
+	)
 	any := false
 	for i := 0; i < q.W; i++ {
 		s := q.Span(i)
@@ -51,11 +58,18 @@ func planPyramid(snap *storage.Snapshot, q m4.Query, opts Options) []*pyrSpanPla
 		if !ok || len(cells) == 0 {
 			continue
 		}
-		plans[i] = &pyrSpanPlan{
-			cells:      cells,
-			leftRange:  series.TimeRange{Start: s.Start, End: cells[0].Start},
-			rightRange: series.TimeRange{Start: cells[len(cells)-1].End, End: s.End},
+		if backing == nil {
+			backing = make([]pyrSpanPlan, q.W)
+			frags = make([]*chunkState, 4*q.W)
 		}
+		backing[i] = pyrSpanPlan{
+			cells:       cells,
+			leftRange:   series.TimeRange{Start: s.Start, End: cells[0].Start},
+			rightRange:  series.TimeRange{Start: cells[len(cells)-1].End, End: s.End},
+			leftChunks:  frags[4*i : 4*i : 4*i+2],
+			rightChunks: frags[4*i+2 : 4*i+2 : 4*i+4],
+		}
+		plans[i] = &backing[i]
 		any = true
 	}
 	if !any {
@@ -84,25 +98,25 @@ func (pp *pyrSpanPlan) cellsOnly() m4.Aggregate {
 
 // computePyramidSpan evaluates pyramid span k (indexing p.pyrWork): both
 // boundary fragments through the candidate loop, stitched with the cells.
-// Runs as one wave-1 pool task.
-func (p *seriesPlan) computePyramidSpan(k int) error {
+// Runs as one wave-1 pool task on worker w.
+func (p *seriesPlan) computePyramidSpan(w *worker, k int) error {
 	i := p.pyrWork[k]
 	pp := p.pyr[i]
-	left, err := p.fragmentAgg(i, pp.leftRange, pp.leftChunks)
+	left, err := p.fragmentAgg(w, i, pp.leftRange, pp.leftChunks)
 	if err != nil {
 		return err
 	}
-	right, err := p.fragmentAgg(i, pp.rightRange, pp.rightChunks)
+	right, err := p.fragmentAgg(w, i, pp.rightRange, pp.rightChunks)
 	if err != nil {
 		return err
 	}
-	parts := make([]m4.Aggregate, 0, len(pp.cells)+2)
-	parts = append(parts, left)
+	// m4.Combine is a left fold, so folding part by part equals combining
+	// the whole list at once.
+	agg := left
 	for _, c := range pp.cells {
-		parts = append(parts, cellAgg(c))
+		agg = m4.Combine(agg, cellAgg(c))
 	}
-	parts = append(parts, right)
-	p.out[i] = m4.Combine(parts...)
+	p.out[i] = m4.Combine(agg, right)
 	return nil
 }
 
@@ -111,12 +125,12 @@ func (p *seriesPlan) computePyramidSpan(k int) error {
 // fragment is narrower than one base cell, so this is O(1) chunks for
 // in-order data. Degradation mirrors assemble: when a chunk was dropped
 // mid-query and a later function comes up empty, FP substitutes.
-func (p *seriesPlan) fragmentAgg(i int, r series.TimeRange, chunks []*chunkState) (m4.Aggregate, error) {
+func (p *seriesPlan) fragmentAgg(w *worker, i int, r series.TimeRange, chunks []*chunkState) (m4.Aggregate, error) {
 	if r.End <= r.Start || len(chunks) == 0 {
 		return m4.Aggregate{Empty: true}, nil
 	}
 	op := p.op
-	fp, ok, err := op.timedG(i, r, chunks, gFP)
+	fp, ok, err := w.computeG(op, i, r, chunks, gFP)
 	if err != nil {
 		return m4.Aggregate{}, err
 	}
@@ -126,7 +140,7 @@ func (p *seriesPlan) fragmentAgg(i int, r series.TimeRange, chunks []*chunkState
 	out := m4.Aggregate{First: fp, Last: fp, Bottom: fp, Top: fp}
 	slots := [...]*series.Point{gLP: &out.Last, gBP: &out.Bottom, gTP: &out.Top}
 	for kind := gLP; kind <= gTP; kind++ {
-		pt, ok, err := op.timedG(i, r, chunks, kind)
+		pt, ok, err := w.computeG(op, i, r, chunks, kind)
 		if err != nil {
 			return m4.Aggregate{}, err
 		}

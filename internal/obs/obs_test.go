@@ -90,6 +90,45 @@ func TestRegistrySameInstrument(t *testing.T) {
 	}
 }
 
+// TestHistogramBatch: flushing a batch must leave the histogram exactly as
+// observing each value directly would (bucket counts, count and, for
+// values whose sum is exact, the sum), and an empty batch flushes nothing.
+func TestHistogramBatch(t *testing.T) {
+	r := NewRegistry()
+	direct, batched := r.Histogram("direct"), r.Histogram("batched")
+	b := batched.Batch()
+	// Binary fractions, so every partial sum is exact in either order.
+	values := []float64{0x1p-13, 0x1p-7, 100, 0.25, 0x1p-13, 3, 0x1p-15}
+	for i, v := range values {
+		direct.Observe(v)
+		b.Observe(v)
+		if i == 2 {
+			b.Flush() // a batch is reusable across flushes
+		}
+	}
+	if batched.Count() != 3 {
+		t.Fatalf("before the last flush Count = %d, want 3", batched.Count())
+	}
+	b.Flush()
+	b.Flush()
+	want, got := direct.sample(), batched.sample()
+	if got.Count != want.Count || got.Sum != want.Sum {
+		t.Fatalf("batched count/sum = %d/%v, direct %d/%v", got.Count, got.Sum, want.Count, want.Sum)
+	}
+	for i := range want.Counts {
+		if got.Counts[i] != want.Counts[i] {
+			t.Fatalf("bucket %d: batched %d, direct %d", i, got.Counts[i], want.Counts[i])
+		}
+	}
+
+	var nb *HistogramBatch
+	nb.Observe(1)
+	nb.Flush()
+	if (*Histogram)(nil).Batch() != nil || (*OperatorMetrics)(nil).TaskBatch() != nil {
+		t.Fatal("nil histogram or metrics handed out a live batch")
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Add(1)
@@ -106,6 +145,7 @@ func TestNilSafety(t *testing.T) {
 	var tr *Trace
 	tr.Phase("p", time.Second)
 	tr.Task(0, "FP", time.Second)
+	tr.Tasks([]TaskTiming{{Span: 1, G: "LP", Ns: 1}})
 	tr.SetCounter("c", 1)
 	tr.Warn("w")
 	if tr.Finish() != nil || tr.ID() != "" {
@@ -162,6 +202,8 @@ func TestTrace(t *testing.T) {
 		}(span)
 	}
 	wg.Wait()
+	tr.Tasks([]TaskTiming{{Span: 4, G: "FP", Ns: 7}, {Span: 4, G: "BP", Ns: 9}})
+	tr.Tasks(nil)
 	tr.Warn("degraded")
 	tr.SetCounter("chunksLoaded", 9)
 
@@ -169,7 +211,7 @@ func TestTrace(t *testing.T) {
 	if snap.ID == "" || snap.ElapsedNs <= 0 {
 		t.Errorf("snapshot header: %+v", snap)
 	}
-	if len(snap.Tasks) != 16 {
+	if len(snap.Tasks) != 18 {
 		t.Fatalf("tasks = %d", len(snap.Tasks))
 	}
 	var sum int64

@@ -61,6 +61,16 @@ func (m *OperatorMetrics) RecordTask(d time.Duration) {
 	m.taskSeconds.Observe(d.Seconds())
 }
 
+// TaskBatch returns a per-goroutine buffer for task durations (seconds),
+// flushed into the same histogram RecordTask observes; nil on the nil
+// *OperatorMetrics.
+func (m *OperatorMetrics) TaskBatch() *HistogramBatch {
+	if m == nil {
+		return nil
+	}
+	return m.taskSeconds.Batch()
+}
+
 // RecordQuery accumulates one completed query's latency and I/O counters.
 func (m *OperatorMetrics) RecordQuery(elapsed time.Duration, chunksLoaded, chunksPruned, timeBlocks, pointsDecoded, cacheHits int64) {
 	if m == nil {

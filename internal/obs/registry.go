@@ -240,6 +240,58 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(b.bounds, v)
 	b.counts[i].Add(1)
 	b.count.Add(1)
+	b.addSum(v)
+}
+
+// Batch returns a buffer for one goroutine's observations of h, added to
+// the histogram only by Flush (nil on a nil histogram).
+func (h *Histogram) Batch() *HistogramBatch {
+	if h == nil {
+		return nil
+	}
+	return &HistogramBatch{h: h.in.hist, counts: make([]int64, len(h.in.hist.counts))}
+}
+
+// HistogramBatch buffers observations so that a hot loop pays plain
+// increments per observation and the shared histogram pays its atomic adds
+// and sum CAS once per Flush. It belongs to one goroutine; the nil batch
+// discards everything.
+type HistogramBatch struct {
+	h      *histogramBuckets
+	counts []int64
+	count  int64
+	sum    float64
+}
+
+// Observe buffers one value.
+func (b *HistogramBatch) Observe(v float64) {
+	if b == nil {
+		return
+	}
+	b.counts[sort.SearchFloat64s(b.h.bounds, v)]++
+	b.count++
+	b.sum += v
+}
+
+// Flush adds the buffered observations to the histogram and empties the
+// batch.
+func (b *HistogramBatch) Flush() {
+	if b == nil || b.count == 0 {
+		return
+	}
+	for i, c := range b.counts {
+		if c != 0 {
+			b.h.counts[i].Add(c)
+			b.counts[i] = 0
+		}
+	}
+	b.h.count.Add(b.count)
+	b.h.addSum(b.sum)
+	b.count, b.sum = 0, 0
+}
+
+// addSum adds v to the float64 sum with a CAS loop.
+func (b *histogramBuckets) addSum(v float64) {
 	for {
 		old := b.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)

@@ -107,6 +107,17 @@ func (t *Trace) Task(span int, g string, d time.Duration) {
 	t.mu.Unlock()
 }
 
+// Tasks records a batch of task timings under one lock: worker pools
+// buffer their tasks' timings per worker and hand them over once.
+func (t *Trace) Tasks(tasks []TaskTiming) {
+	if t == nil || len(tasks) == 0 {
+		return
+	}
+	t.mu.Lock()
+	t.tasks = append(t.tasks, tasks...)
+	t.mu.Unlock()
+}
+
 // SetCounter stores one named counter (overwriting an earlier value).
 func (t *Trace) SetCounter(name string, v int64) {
 	if t == nil {

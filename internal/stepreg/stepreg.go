@@ -22,6 +22,8 @@ package stepreg
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -72,14 +74,15 @@ func Build(ts []int64) *Index {
 	for i := 1; i < n; i++ {
 		deltas[i-1] = ts[i] - ts[i-1]
 	}
-	med := median(deltas)
+	// meanStd reads the deltas in their original order (the float sums
+	// depend on it); the median selection then reorders them in place.
+	mu, sigma := meanStd(deltas)
+	thr := mu + 3*sigma
+	med := selectKth(deltas, len(deltas)/2)
 	if med <= 0 {
 		med = 1
 	}
 	ix.k = 1 / float64(med)
-
-	mu, sigma := meanStd(deltas)
-	thr := mu + 3*sigma
 
 	// Changing points: 1-based positions j (2..n-1) where the delta
 	// crosses the threshold in either direction (§3.5.3).
@@ -135,8 +138,15 @@ func Build(ts []int64) *Index {
 	ix.intercepts = b[1:]
 
 	// Exactness guard: record the worst prediction error on the chunk.
+	// The timestamps ascend, so their segments do too: walk the splits
+	// forward instead of searching them per point. j counts the splits
+	// <= t, the quantity eval's search finds.
+	j := 0
 	for i, t := range ts {
-		pred := ix.eval(t)
+		for j < m && ix.splits[j] <= t {
+			j++
+		}
+		pred := ix.segValue(ix.clampSeg(j-1), t)
 		if e := absInt(int(math.Round(pred)) - (i + 1)); e > ix.maxErr {
 			ix.maxErr = e
 		}
@@ -153,20 +163,29 @@ func (ix *Index) eval(t int64) float64 {
 	}
 	// Locate the segment: i is the largest index with splits[i] <= t.
 	i := sort.Search(m, func(i int) bool { return ix.splits[i] > t }) - 1
-	if i < 0 {
-		i = 0
+	return ix.segValue(ix.clampSeg(i), t)
+}
+
+// clampSeg maps the largest split index at or below t (-1 when t precedes
+// every split) to the 0-based segment that evaluates t: timestamps outside
+// [t_1, t_m] use the boundary segments.
+func (ix *Index) clampSeg(i int) int {
+	if i > len(ix.splits)-2 {
+		i = len(ix.splits) - 2
 	}
-	if i > m-2 {
-		i = m - 2
-	}
-	if i < 0 { // single-split degenerate index
+	if i < 0 { // before t_1, or a single-split degenerate index
 		i = 0
 	}
 	if i >= len(ix.intercepts) {
 		i = len(ix.intercepts) - 1
 	}
-	seg := i + 1 // 1-based segment number
-	if seg%2 == 1 {
+	return i
+}
+
+// segValue evaluates 0-based segment i at t. Build's error guard and the
+// probes share it, so both compute bit-identical predictions.
+func (ix *Index) segValue(i int, t int64) float64 {
+	if i%2 == 0 { // odd 1-based segment number
 		return ix.k*float64(t) + ix.intercepts[i] // tilt
 	}
 	return ix.intercepts[i] // level
@@ -301,11 +320,46 @@ func (s Segment) String() string {
 	return fmt.Sprintf("[%d,%d) level f(t)=%.6g", s.Start, s.End, s.Intercept)
 }
 
-func median(xs []int64) int64 {
-	cp := make([]int64, len(xs))
-	copy(cp, xs)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	return cp[len(cp)/2]
+// selectKth returns the k-th smallest element of xs (0-based), the value
+// xs would hold at position k if sorted, reordering xs in place. It is a
+// quickselect with a three-way partition, so runs of equal deltas (the
+// common case: a chunk at one cadence) settle in one O(n) pass; past a
+// logarithmic number of rounds it sorts the remainder, bounding adversarial
+// inputs to O(n log n).
+func selectKth(xs []int64, k int) int64 {
+	lo, hi := 0, len(xs)
+	for rounds := 2 * bits.Len(uint(len(xs))); hi-lo > 1; rounds-- {
+		if rounds == 0 {
+			slices.Sort(xs[lo:hi])
+			break
+		}
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		pivot := max(min(a, b), min(max(a, b), c)) // median of three
+		// Partition into [lo,lt) < pivot, [lt,gt) == pivot, [gt,hi) > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case x < pivot:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > pivot:
+				gt--
+				xs[gt], xs[i] = x, xs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return pivot
+		}
+	}
+	return xs[k]
 }
 
 func meanStd(xs []int64) (mu, sigma float64) {

@@ -262,10 +262,33 @@ func BenchmarkPlainProbe(b *testing.B) {
 	}
 }
 
+// buildSink keeps the benchmarked builds from being optimized away.
+var buildSink *Index
+
+// BenchmarkBuild times the index build on the paper's chunk and on a
+// 1000-point bursty chunk shaped like the benchmark dataset's (256-point
+// runs at 1 ms, 750-1000 ms gaps); the oracle rows time the original
+// sort-based build on the same chunks.
 func BenchmarkBuild(b *testing.B) {
-	ts := paperChunk()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Build(ts)
+	chunks := []struct {
+		name string
+		ts   []int64
+	}{
+		{"paper", paperChunk()},
+		{"bursty", burstyChunk(rand.New(rand.NewSource(1)), 1000, 256)},
+	}
+	for _, c := range chunks {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildSink = Build(c.ts)
+			}
+		})
+		b.Run(c.name+"-oracle", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildSink = oracleBuild(c.ts)
+			}
+		})
 	}
 }

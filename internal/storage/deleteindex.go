@@ -75,3 +75,29 @@ func (ix *DeleteIndex) Covered(t int64, ver Version) bool {
 	}
 	return ix.maxVer[i] > ver
 }
+
+// Cursor returns a DeleteCursor answering Covered(·, ver) for timestamps
+// visited in ascending order, positioned with one binary search at t0, the
+// first timestamp it will be asked about.
+func (ix *DeleteIndex) Cursor(t0 int64, ver Version) DeleteCursor {
+	i := sort.Search(len(ix.bounds), func(i int) bool { return ix.bounds[i] > t0 }) - 1
+	return DeleteCursor{ix: ix, ver: ver, i: i}
+}
+
+// DeleteCursor walks a DeleteIndex forward: a scan over a sorted run of
+// points advances it segment by segment instead of searching per point.
+type DeleteCursor struct {
+	ix  *DeleteIndex
+	ver Version
+	i   int // segment of the last timestamp asked about; -1 before the first
+}
+
+// Covered is DeleteIndex.Covered(t, ver) for a t no smaller than the
+// cursor's previous timestamp.
+func (c *DeleteCursor) Covered(t int64) bool {
+	b := c.ix.bounds
+	for c.i+1 < len(b) && b[c.i+1] <= t {
+		c.i++
+	}
+	return c.i >= 0 && c.ix.maxVer[c.i] > c.ver
+}

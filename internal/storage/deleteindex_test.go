@@ -78,3 +78,26 @@ func TestDeleteIndexAgainstNaiveProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestDeleteCursorMatchesIndex walks ascending timestamps (with repeats)
+// from a random start and requires the cursor to answer like Covered.
+func TestDeleteCursorMatchesIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(20)
+		dels := make([]Delete, 0, n)
+		for i := 0; i < n; i++ {
+			start := rng.Int63n(200)
+			dels = append(dels, Delete{Version: Version(rng.Intn(10)), Start: start, End: start + rng.Int63n(60)})
+		}
+		ix := NewDeleteIndex(dels)
+		ver := Version(rng.Intn(12))
+		tt := rng.Int63n(300) - 50
+		c := ix.Cursor(tt, ver)
+		for ; tt < 320; tt += rng.Int63n(4) {
+			if got, want := c.Covered(tt), ix.Covered(tt, ver); got != want {
+				t.Fatalf("trial %d: cursor Covered(%d, v%d) = %v, want %v (dels %v)", trial, tt, ver, got, want, dels)
+			}
+		}
+	}
+}

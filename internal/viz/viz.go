@@ -13,10 +13,10 @@ package viz
 import (
 	"fmt"
 	"image"
-	"image/color"
 	"image/png"
 	"io"
 	"math"
+	"math/bits"
 	"strings"
 
 	"m4lsm/internal/series"
@@ -137,13 +137,16 @@ func (c *Canvas) ASCII() string {
 // WritePNG encodes the canvas as a black-on-white PNG.
 func (c *Canvas) WritePNG(w io.Writer) error {
 	img := image.NewGray(image.Rect(0, 0, c.W, c.H))
-	for y := 0; y < c.H; y++ {
-		for x := 0; x < c.W; x++ {
-			if c.Get(x, y) {
-				img.SetGray(x, y, color.Gray{Y: 0})
-			} else {
-				img.SetGray(x, y, color.Gray{Y: 255})
-			}
+	// The image's rows are W bytes apart, so pixel i of the packed bits is
+	// Pix[i]: paint everything white, then black at each lit bit.
+	pix := img.Pix
+	pix[0] = 255
+	for n := 1; n < len(pix); n *= 2 {
+		copy(pix[n:], pix[:n])
+	}
+	for wi, word := range c.bits {
+		for ; word != 0; word &= word - 1 {
+			pix[wi*64+bits.TrailingZeros64(word)] = 0
 		}
 	}
 	return png.Encode(w, img)

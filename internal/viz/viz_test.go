@@ -2,7 +2,10 @@ package viz
 
 import (
 	"bytes"
+	"image"
+	"image/color"
 	"image/png"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -251,6 +254,73 @@ func TestWritePNG(t *testing.T) {
 	if img.Bounds().Dx() != 10 || img.Bounds().Dy() != 5 {
 		t.Errorf("png bounds = %v", img.Bounds())
 	}
+}
+
+// referencePNG is the per-pixel conversion WritePNG replaced: every pixel
+// read through Get and written through SetGray.
+func referencePNG(c *Canvas) []byte {
+	img := image.NewGray(image.Rect(0, 0, c.W, c.H))
+	for y := 0; y < c.H; y++ {
+		for x := 0; x < c.W; x++ {
+			if c.Get(x, y) {
+				img.SetGray(x, y, color.Gray{Y: 0})
+			} else {
+				img.SetGray(x, y, color.Gray{Y: 255})
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := png.Encode(&buf, img); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// TestWritePNGMatchesReference requires WritePNG's bytes to equal the
+// per-pixel reference's on canvases whose pixel count is and is not a
+// multiple of 64, empty, full and randomly lit.
+func TestWritePNGMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, size := range [][2]int{{1000, 400}, {7, 3}, {65, 1}, {1, 1}, {64, 2}, {13, 11}} {
+		for _, fill := range []float64{0, 0.02, 0.5, 1} {
+			c := NewCanvas(size[0], size[1])
+			for y := 0; y < c.H; y++ {
+				for x := 0; x < c.W; x++ {
+					if rng.Float64() < fill {
+						c.Set(x, y)
+					}
+				}
+			}
+			var buf bytes.Buffer
+			if err := c.WritePNG(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), referencePNG(c)) {
+				t.Fatalf("%dx%d fill %v: PNG bytes differ from the per-pixel reference", c.W, c.H, fill)
+			}
+		}
+	}
+}
+
+func BenchmarkWritePNG(b *testing.B) {
+	c := NewCanvas(1000, 400)
+	rng := rand.New(rand.NewSource(1))
+	y := 200
+	for x := 0; x < c.W; x++ {
+		ny := max(0, min(c.H-1, y+rng.Intn(41)-20))
+		c.DrawLine(x, y, x, ny)
+		y = ny
+	}
+	b.Run("packed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.WritePNG(io.Discard)
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			referencePNG(c)
+		}
+	})
 }
 
 func TestRasterizeSkipsOutOfRange(t *testing.T) {
