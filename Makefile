@@ -89,7 +89,10 @@ fuzz:
 # lint forbids ad-hoc printing in library code: internal/ packages must log
 # through log/slog (the server injects a request-scoped logger) so output
 # stays structured and greppable. Commands, examples and tests are exempt.
-# It also fails on any Go file gofmt would rewrite.
+# It also fails on any Go file gofmt would rewrite, and on any non-test file
+# of the root package, cmd/, internal/m4ql or internal/server that imports
+# an operator package directly: those surfaces run reads through the one
+# executor in internal/query.
 lint:
 	@bad=$$(gofmt -l *.go cmd examples internal perfbench); \
 	if [ -n "$$bad" ]; then \
@@ -109,6 +112,14 @@ lint:
 	if [ -n "$$bad" ]; then \
 		echo "lint: library code must not call time.Sleep for backoff; use govern.SleepBackoff"; \
 		echo "(deterministic jitter, context-aware). Exempt: govern/backoff.go, faultfs (injected latency)."; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$({ grep -lE '"m4lsm/internal/(m4lsm|m4udf)"' *.go; \
+		grep -rlE '"m4lsm/internal/(m4lsm|m4udf)"' --include='*.go' cmd internal/m4ql internal/server; } 2>/dev/null \
+		| grep -v '_test\.go$$'; true); \
+	if [ -n "$$bad" ]; then \
+		echo "lint: the DB facade, commands, m4ql and the server read through internal/query;"; \
+		echo "they must not import internal/m4lsm or internal/m4udf:"; \
 		echo "$$bad"; exit 1; \
 	fi
 

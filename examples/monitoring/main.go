@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -95,8 +96,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			rows, err := groupby.Compute(snap2, m4.Query{Tqs: q.Tqs, Tqe: q.Tqe, W: 1},
-				[]groupby.Func{groupby.Count, groupby.Avg, groupby.Min, groupby.Max})
+			rows, err := groupby.ComputeContext(context.Background(), snap2, m4.Query{Tqs: q.Tqs, Tqe: q.Tqe, W: 1},
+				[]groupby.Func{groupby.Count, groupby.Avg, groupby.Min, groupby.Max}, m4lsm.Options{Strict: true})
 			if err != nil {
 				log.Fatal(err)
 			}

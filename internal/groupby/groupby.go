@@ -10,10 +10,15 @@
 //     values, so chunk metadata answers them without merging.
 //   - Otherwise (Count/Sum/Avg need every surviving point) the query
 //     streams the merge reader once, like the UDF baseline.
+//
+// Both paths take the operator's Options: Strict, Budget, Parallelism and
+// the context's cancellation govern a GROUP BY exactly as they govern M4.
 package groupby
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 
 	"m4lsm/internal/m4"
 	"m4lsm/internal/m4lsm"
@@ -94,9 +99,14 @@ func representable(fns []Func) bool {
 	return true
 }
 
-// Compute evaluates the aggregate functions per time span. Spans without
-// surviving points are omitted.
-func Compute(snap *storage.Snapshot, q m4.Query, fns []Func) ([]Row, error) {
+// ComputeContext evaluates the aggregate functions per time span under a
+// context. Spans without surviving points are omitted. The envelope path
+// runs m4lsm.ComputeContext with opts; the merge path loads the snapshot
+// through mergeread.LoadContext with opts' Parallelism (0 uses GOMAXPROCS),
+// Strict and Budget, so an unreadable or over-budget chunk fails a strict
+// query and degrades a lenient one with a snapshot warning. Cancellation
+// returns ctx.Err().
+func ComputeContext(ctx context.Context, snap *storage.Snapshot, q m4.Query, fns []Func, opts m4lsm.Options) ([]Row, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -109,14 +119,14 @@ func Compute(snap *storage.Snapshot, q m4.Query, fns []Func) ([]Row, error) {
 		}
 	}
 	if representable(fns) {
-		return computeFromM4(snap, q, fns)
+		return computeFromM4(ctx, snap, q, fns, opts)
 	}
-	return computeFromMerge(snap, q, fns)
+	return computeFromMerge(ctx, snap, q, fns, opts)
 }
 
 // computeFromM4 answers envelope functions from the merge-free operator.
-func computeFromM4(snap *storage.Snapshot, q m4.Query, fns []Func) ([]Row, error) {
-	aggs, err := m4lsm.Compute(snap, q)
+func computeFromM4(ctx context.Context, snap *storage.Snapshot, q m4.Query, fns []Func, opts m4lsm.Options) ([]Row, error) {
+	aggs, err := m4lsm.ComputeContext(ctx, snap, q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -152,11 +162,16 @@ type spanAccum struct {
 }
 
 // computeFromMerge streams the merged series once.
-func computeFromMerge(snap *storage.Snapshot, q m4.Query, fns []Func) ([]Row, error) {
-	it, err := mergeread.NewIterator(snap, q.Range())
+func computeFromMerge(ctx context.Context, snap *storage.Snapshot, q m4.Query, fns []Func, opts m4lsm.Options) ([]Row, error) {
+	par := opts.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	loaded, err := mergeread.LoadContext(ctx, snap, mergeread.LoadOptions{Parallelism: par, Strict: opts.Strict, Budget: opts.Budget})
 	if err != nil {
 		return nil, err
 	}
+	it := loaded.Iterator(q.Range())
 	accums := make([]spanAccum, q.W)
 	for {
 		p, ok := it.Next()

@@ -8,14 +8,11 @@ import (
 	"time"
 
 	"m4lsm/internal/govern"
-	"m4lsm/internal/groupby"
 	"m4lsm/internal/lsm"
 	"m4lsm/internal/m4"
-	"m4lsm/internal/m4lsm"
-	"m4lsm/internal/m4udf"
 	"m4lsm/internal/obs"
+	"m4lsm/internal/query"
 	"m4lsm/internal/reprops"
-	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 )
 
@@ -146,57 +143,111 @@ func Execute(e *lsm.Engine, stmt Statement) (*Result, error) {
 }
 
 // ExecuteContext runs a parsed statement under a context: cancellation
-// aborts the operator's worker pool and returns ctx.Err().
+// aborts the operator's worker pool and returns ctx.Err(). Execution is one
+// query.Run over the FROM series (wildcards expanded against the engine's
+// sorted ids); this function only shapes the rows. Single-series statements
+// keep the historical flat shape; multi-series statements (`FROM s1, s2` or
+// a wildcard) get per-series blocks, with the top-level Stats summing every
+// series' counters and Partial/Warnings aggregating with series
+// attribution.
 func ExecuteContext(ctx context.Context, e *lsm.Engine, stmt Statement) (*Result, error) {
 	tr := obs.TraceOf(ctx)
 	if tr == nil && stmt.Trace {
 		ctx, tr = obs.WithTrace(ctx)
 	}
-	if stmt.Represent != nil {
-		return executeRepresent(ctx, e, stmt, tr)
+	ids := stmt.Series
+	if stmt.Wildcard {
+		ids = query.Match(e, stmt.WildcardPrefix)
 	}
-	if stmt.Multi() {
-		return executeMulti(ctx, e, stmt, tr)
-	}
-	if len(stmt.Aggregates) > 0 {
-		return executeGroupBy(ctx, e, stmt)
-	}
-	snap, err := e.Snapshot(stmt.SeriesID, stmt.Query.Range())
+	out, err := query.Run(ctx, e, query.Request{
+		IDs:         ids,
+		Query:       stmt.Query,
+		Represent:   stmt.Represent,
+		Funcs:       stmt.Aggregates,
+		UDF:         stmt.Operator == OpUDF,
+		Strict:      stmt.Strict,
+		Parallelism: stmt.Parallelism,
+		Budget:      queryBudget(ctx, stmt),
+	})
 	if err != nil {
 		return nil, err
 	}
-	if stmt.Strict {
-		// Chunks already quarantined are excluded at snapshot time; a
-		// STRICT query must fail rather than omit them silently.
-		if ws := snap.Warnings.List(); len(ws) > 0 {
-			return nil, fmt.Errorf("m4ql: strict read: %s", ws[0])
+	res := &Result{
+		Operator:  stmt.Operator.String(),
+		Elapsed:   out.Elapsed,
+		SpanCount: stmt.Query.W,
+	}
+	switch {
+	case stmt.Represent != nil:
+		res.Columns = []string{"time", "value"}
+		res.Represent = stmt.Represent.String()
+	case len(stmt.Aggregates) > 0:
+		res.Columns = []string{"span"}
+		for _, f := range stmt.Aggregates {
+			res.Columns = append(res.Columns, f.String())
+		}
+	default:
+		res.Columns = append([]string{"span"}, columnStrings(stmt.Columns)...)
+	}
+	blocks := make([]SeriesResult, len(out.Series))
+	for i := range out.Series {
+		s := &out.Series[i]
+		blocks[i] = SeriesResult{
+			SeriesID: s.ID,
+			Rows:     rows(stmt, s),
+			Stats:    s.Stats,
+			Partial:  len(s.Warnings) > 0,
+			Warnings: s.Warnings,
 		}
 	}
-	budget := queryBudget(ctx, stmt)
-	start := time.Now()
-	var aggs []m4.Aggregate
-	switch stmt.Operator {
-	case OpUDF:
-		aggs, err = m4udf.ComputeContext(ctx, snap, stmt.Query, m4udf.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget})
-	default:
-		aggs, err = m4lsm.ComputeContext(ctx, snap, stmt.Query, m4lsm.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget})
+	if stmt.Multi() {
+		res.Series = blocks
+		for _, b := range blocks {
+			res.Stats.Add(b.Stats)
+			if b.Partial {
+				res.Partial = true
+				for _, w := range b.Warnings {
+					res.Warnings = append(res.Warnings, fmt.Sprintf("series %s: %s", b.SeriesID, w))
+				}
+			}
+		}
+	} else {
+		b := blocks[0]
+		res.Rows, res.Stats, res.Partial, res.Warnings = b.Rows, b.Stats, b.Partial, b.Warnings
 	}
-	if err != nil {
-		return nil, err
+	if tr != nil {
+		if len(stmt.Aggregates) > 0 {
+			tr.Phase("groupby", res.Elapsed)
+			tr.SetCounters(res.Stats.Map())
+		}
+		tr.Warn(res.Warnings...)
+		res.Trace = tr.Finish()
 	}
-	elapsed := time.Since(start)
+	return res, nil
+}
 
-	warnings := snap.Warnings.List()
-	res := &Result{
-		Columns:   append([]string{"span"}, columnStrings(stmt.Columns)...),
-		Operator:  stmt.Operator.String(),
-		Elapsed:   elapsed,
-		Stats:     snap.Stats.Load(),
-		SpanCount: stmt.Query.W,
-		Partial:   len(warnings) > 0,
-		Warnings:  warnings,
+// rows shapes one series' output: (time, value) point rows for REPRESENT,
+// and otherwise one row per non-empty span, the 0-based span index followed
+// by the projected M4 columns or the GROUP BY aggregates.
+func rows(stmt Statement, s *query.Series) [][]float64 {
+	switch {
+	case stmt.Represent != nil:
+		out := make([][]float64, len(s.Points))
+		for i, p := range s.Points {
+			out[i] = []float64{float64(p.T), p.V}
+		}
+		return out
+	case len(stmt.Aggregates) > 0:
+		var out [][]float64
+		for _, r := range s.Rows {
+			row := make([]float64, 0, len(r.Values)+1)
+			row = append(row, float64(r.Span))
+			out = append(out, append(row, r.Values...))
+		}
+		return out
 	}
-	for i, a := range aggs {
+	var out [][]float64
+	for i, a := range s.Aggregates {
 		if a.Empty {
 			continue
 		}
@@ -205,292 +256,9 @@ func ExecuteContext(ctx context.Context, e *lsm.Engine, stmt Statement) (*Result
 		for _, c := range stmt.Columns {
 			row = append(row, cell(a, c))
 		}
-		res.Rows = append(res.Rows, row)
+		out = append(out, row)
 	}
-	if tr != nil {
-		tr.Warn(warnings...)
-		res.Trace = tr.Finish()
-	}
-	return res, nil
-}
-
-// resolveSeries turns the statement's FROM clause into the concrete series
-// list: explicit lists pass through in FROM order, wildcards expand against
-// the engine's sorted SeriesIDs filtered by prefix. An empty wildcard match
-// is a valid (empty) result, not an error — dashboards issue `root.*`
-// against empty databases all the time.
-func resolveSeries(e *lsm.Engine, stmt Statement) []string {
-	if !stmt.Wildcard {
-		return stmt.Series
-	}
-	var ids []string
-	for _, id := range e.SeriesIDs() {
-		if strings.HasPrefix(id, stmt.WildcardPrefix) {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-// executeMulti runs a multi-series statement (`FROM s1, s2` or a wildcard)
-// as one batched query: all series' snapshots are taken first, then the
-// series×span×G tasks feed a single shared worker pool via the operators'
-// ComputeMultiContext. Each series keeps its own rows, cost counters and
-// degradation status; the top-level Stats is their sum and Partial/Warnings
-// aggregate with series attribution.
-func executeMulti(ctx context.Context, e *lsm.Engine, stmt Statement, tr *obs.Trace) (*Result, error) {
-	ids := resolveSeries(e, stmt)
-	snaps := make([]*storage.Snapshot, len(ids))
-	for i, id := range ids {
-		snap, err := e.Snapshot(id, stmt.Query.Range())
-		if err != nil {
-			return nil, fmt.Errorf("m4ql: series %q: %w", id, err)
-		}
-		if stmt.Strict {
-			if ws := snap.Warnings.List(); len(ws) > 0 {
-				return nil, fmt.Errorf("m4ql: strict read: series %q: %s", id, ws[0])
-			}
-		}
-		snaps[i] = snap
-	}
-	start := time.Now()
-	var outs [][]m4.Aggregate
-	var err error
-	if len(stmt.Aggregates) > 0 {
-		// GROUP BY aggregates scan merged streams per series; there is no
-		// batched operator for them, so loop sequentially.
-		return executeGroupByMulti(ctx, e, stmt, tr, ids, snaps, start)
-	}
-	budget := queryBudget(ctx, stmt)
-	switch stmt.Operator {
-	case OpUDF:
-		outs, err = m4udf.ComputeMultiContext(ctx, snaps, stmt.Query, m4udf.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget})
-	default:
-		outs, err = m4lsm.ComputeMultiContext(ctx, snaps, stmt.Query, m4lsm.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget})
-	}
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-
-	res := &Result{
-		Columns:   append([]string{"span"}, columnStrings(stmt.Columns)...),
-		Operator:  stmt.Operator.String(),
-		Elapsed:   elapsed,
-		SpanCount: stmt.Query.W,
-		Series:    make([]SeriesResult, len(ids)),
-	}
-	for si, id := range ids {
-		sr := SeriesResult{SeriesID: id, Stats: snaps[si].Stats.Load()}
-		sr.Warnings = snaps[si].Warnings.List()
-		sr.Partial = len(sr.Warnings) > 0
-		for i, a := range outs[si] {
-			if a.Empty {
-				continue
-			}
-			row := make([]float64, 0, len(stmt.Columns)+1)
-			row = append(row, float64(i))
-			for _, c := range stmt.Columns {
-				row = append(row, cell(a, c))
-			}
-			sr.Rows = append(sr.Rows, row)
-		}
-		res.Stats.Add(sr.Stats)
-		if sr.Partial {
-			res.Partial = true
-			for _, w := range sr.Warnings {
-				res.Warnings = append(res.Warnings, fmt.Sprintf("series %s: %s", id, w))
-			}
-		}
-		res.Series[si] = sr
-	}
-	if tr != nil {
-		tr.Warn(res.Warnings...)
-		res.Trace = tr.Finish()
-	}
-	return res, nil
-}
-
-// executeRepresent runs a REPRESENT statement: the chosen representation
-// operator over every FROM series, returning (time, value) point rows.
-// Single-series statements keep the flat Rows shape, multi-series ones get
-// per-series blocks, exactly like the span-table form. USING still selects
-// the physical path: LSM takes the merge-free machinery (metadata pruning
-// and pyramid cells for minmax/minmaxlttb, the dedicated merge path for
-// lttb), UDF merges everything and runs the reference reduction.
-func executeRepresent(ctx context.Context, e *lsm.Engine, stmt Statement, tr *obs.Trace) (*Result, error) {
-	spec := *stmt.Represent
-	ids := stmt.Series
-	if stmt.Wildcard {
-		ids = resolveSeries(e, stmt)
-	}
-	snaps := make([]*storage.Snapshot, len(ids))
-	for i, id := range ids {
-		snap, err := e.Snapshot(id, stmt.Query.Range())
-		if err != nil {
-			return nil, fmt.Errorf("m4ql: series %q: %w", id, err)
-		}
-		if stmt.Strict {
-			if ws := snap.Warnings.List(); len(ws) > 0 {
-				return nil, fmt.Errorf("m4ql: strict read: series %q: %s", id, ws[0])
-			}
-		}
-		snaps[i] = snap
-	}
-	budget := queryBudget(ctx, stmt)
-	start := time.Now()
-	var outs []series.Series
-	var err error
-	switch stmt.Operator {
-	case OpUDF:
-		outs = make([]series.Series, len(snaps))
-		for i, snap := range snaps {
-			outs[i], err = m4udf.ReduceContext(ctx, snap, stmt.Query, spec, m4udf.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget})
-			if err != nil {
-				break
-			}
-		}
-	default:
-		outs, err = m4lsm.ReduceMultiContext(ctx, snaps, stmt.Query, spec, m4lsm.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget})
-	}
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Columns:   []string{"time", "value"},
-		Operator:  stmt.Operator.String(),
-		Elapsed:   time.Since(start),
-		SpanCount: stmt.Query.W,
-		Represent: spec.String(),
-	}
-	pointRows := func(s series.Series) [][]float64 {
-		rows := make([][]float64, len(s))
-		for i, p := range s {
-			rows[i] = []float64{float64(p.T), p.V}
-		}
-		return rows
-	}
-	if stmt.Multi() {
-		res.Series = make([]SeriesResult, len(ids))
-		for si, id := range ids {
-			sr := SeriesResult{SeriesID: id, Rows: pointRows(outs[si]), Stats: snaps[si].Stats.Load()}
-			sr.Warnings = snaps[si].Warnings.List()
-			sr.Partial = len(sr.Warnings) > 0
-			res.Stats.Add(sr.Stats)
-			if sr.Partial {
-				res.Partial = true
-				for _, w := range sr.Warnings {
-					res.Warnings = append(res.Warnings, fmt.Sprintf("series %s: %s", id, w))
-				}
-			}
-			res.Series[si] = sr
-		}
-	} else {
-		res.Rows = pointRows(outs[0])
-		res.Stats = snaps[0].Stats.Load()
-		res.Warnings = snaps[0].Warnings.List()
-		res.Partial = len(res.Warnings) > 0
-	}
-	if tr != nil {
-		tr.Warn(res.Warnings...)
-		res.Trace = tr.Finish()
-	}
-	return res, nil
-}
-
-// executeGroupByMulti is the aggregate form over several series: a
-// sequential per-series groupby.Compute with the same per-series result
-// blocks as the M4 form.
-func executeGroupByMulti(ctx context.Context, e *lsm.Engine, stmt Statement, tr *obs.Trace, ids []string, snaps []*storage.Snapshot, start time.Time) (*Result, error) {
-	res := &Result{
-		Columns:   []string{"span"},
-		Operator:  stmt.Operator.String(),
-		SpanCount: stmt.Query.W,
-		Series:    make([]SeriesResult, len(ids)),
-	}
-	for _, f := range stmt.Aggregates {
-		res.Columns = append(res.Columns, f.String())
-	}
-	for si, id := range ids {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rows, err := groupby.Compute(snaps[si], stmt.Query, stmt.Aggregates)
-		if err != nil {
-			return nil, fmt.Errorf("m4ql: series %q: %w", id, err)
-		}
-		sr := SeriesResult{SeriesID: id, Stats: snaps[si].Stats.Load()}
-		sr.Warnings = snaps[si].Warnings.List()
-		sr.Partial = len(sr.Warnings) > 0
-		for _, r := range rows {
-			row := make([]float64, 0, len(r.Values)+1)
-			row = append(row, float64(r.Span))
-			row = append(row, r.Values...)
-			sr.Rows = append(sr.Rows, row)
-		}
-		res.Stats.Add(sr.Stats)
-		if sr.Partial {
-			res.Partial = true
-			for _, w := range sr.Warnings {
-				res.Warnings = append(res.Warnings, fmt.Sprintf("series %s: %s", id, w))
-			}
-		}
-		res.Series[si] = sr
-	}
-	res.Elapsed = time.Since(start)
-	if tr != nil {
-		tr.Phase("groupby", res.Elapsed)
-		tr.Warn(res.Warnings...)
-		tr.SetCounters(res.Stats.Map())
-		res.Trace = tr.Finish()
-	}
-	return res, nil
-}
-
-// executeGroupBy runs the aggregate form of the query: one row per
-// non-empty span with the requested scalar functions. Envelope-only
-// function sets (min/max/first/last) execute merge-free via the M4-LSM
-// machinery; count/sum/avg scan the merged stream (the USING clause is
-// informational only for this form).
-func executeGroupBy(ctx context.Context, e *lsm.Engine, stmt Statement) (*Result, error) {
-	tr := obs.TraceOf(ctx)
-	snap, err := e.Snapshot(stmt.SeriesID, stmt.Query.Range())
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	rows, err := groupby.Compute(snap, stmt.Query, stmt.Aggregates)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		tr.Phase("groupby", time.Since(start))
-	}
-	warnings := snap.Warnings.List()
-	res := &Result{
-		Columns:   []string{"span"},
-		Operator:  stmt.Operator.String(),
-		Elapsed:   time.Since(start),
-		Stats:     snap.Stats.Load(),
-		SpanCount: stmt.Query.W,
-		Partial:   len(warnings) > 0,
-		Warnings:  warnings,
-	}
-	for _, f := range stmt.Aggregates {
-		res.Columns = append(res.Columns, f.String())
-	}
-	for _, r := range rows {
-		row := make([]float64, 0, len(r.Values)+1)
-		row = append(row, float64(r.Span))
-		row = append(row, r.Values...)
-		res.Rows = append(res.Rows, row)
-	}
-	if tr != nil {
-		tr.Warn(warnings...)
-		tr.SetCounters(res.Stats.Map())
-		res.Trace = tr.Finish()
-	}
-	return res, nil
+	return out
 }
 
 // Run parses and executes a query in one step. EXPLAIN statements execute

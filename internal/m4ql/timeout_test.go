@@ -87,4 +87,30 @@ func TestExecuteTimeoutAndBudget(t *testing.T) {
 	if !errors.Is(err, govern.ErrBudgetExceeded) {
 		t.Fatalf("strict budget-capped query: got %v, want ErrBudgetExceeded", err)
 	}
+
+	// GROUP BY statements run under the same governance: the envelope set
+	// on the merge-free operator, the COUNT set on the merge reader.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, sel := range []string{`MIN(value), MAX(value)`, `COUNT(value)`} {
+		stmt := `SELECT ` + sel + ` FROM s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7)`
+		res, err := RunContext(ctx, e, stmt)
+		if err != nil {
+			t.Fatalf("%s: lenient budgeted query must degrade, not fail: %v", sel, err)
+		}
+		if !res.Partial || len(res.Warnings) == 0 {
+			t.Fatalf("%s: budget-capped query not marked partial (partial=%v warnings=%d)", sel, res.Partial, len(res.Warnings))
+		}
+		for _, w := range res.Warnings {
+			if !strings.Contains(w, "budget") {
+				t.Fatalf("%s: unexpected warning shape: %q", sel, w)
+			}
+		}
+		if _, err := RunContext(ctx, e, stmt+` STRICT`); !errors.Is(err, govern.ErrBudgetExceeded) {
+			t.Fatalf("%s: strict budget-capped query: got %v, want ErrBudgetExceeded", sel, err)
+		}
+		if _, err := RunContext(cancelled, e, stmt); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled query: got %v, want context.Canceled", sel, err)
+		}
+	}
 }

@@ -20,15 +20,24 @@ func ComputeMulti(snaps []*storage.Snapshot, q m4.Query) ([][]m4.Aggregate, erro
 // of m4lsm.ComputeMultiContext: each series is merged and scanned exactly as
 // ComputeContext would, with the batch fanned across Options.Parallelism
 // workers at series granularity (each series runs sequentially inside, so
-// the batch never oversubscribes the budget). Results are positional —
-// out[i] belongs to snaps[i] — and identical to per-series ComputeContext
-// calls; per-series cost counters stay on each snapshot's own Stats.
+// the batch never oversubscribes the budget). A lone series is
+// ComputeContext itself, scanning its span blocks at the caller's
+// parallelism. Results are positional — out[i] belongs to snaps[i] — and
+// identical to per-series ComputeContext calls; per-series cost counters
+// stay on each snapshot's own Stats.
 func ComputeMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, opts Options) ([][]m4.Aggregate, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if len(snaps) == 0 {
+	switch len(snaps) {
+	case 0:
 		return nil, nil
+	case 1:
+		out, err := ComputeContext(ctx, snaps[0], q, opts)
+		if err != nil {
+			return nil, err
+		}
+		return [][]m4.Aggregate{out}, nil
 	}
 	par := opts.Parallelism
 	if par <= 0 {
@@ -76,9 +85,6 @@ func ComputeMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Qu
 	}
 	for i, err := range errs {
 		if err != nil {
-			if len(snaps) == 1 {
-				return nil, err
-			}
 			return nil, fmt.Errorf("m4udf: series %q: %w", snaps[i].SeriesID, err)
 		}
 	}

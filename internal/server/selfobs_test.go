@@ -280,13 +280,18 @@ func TestDebugEventsEndpoint(t *testing.T) {
 
 // waitRecordedSettles polls until the event log has recorded want events
 // (the final Record runs in a deferred handler after the response body is
-// flushed, so the client can win the race).
+// flushed, so the client can win the race) and its writer has caught up:
+// Recorded counts an event at enqueue, while Recent only sees it once the
+// async writer has put it in the ring (counted by Written or WriteErrors)
+// or it was dropped.
 func waitRecordedSettles(t *testing.T, h *Handler, want int64) {
 	t.Helper()
+	ev := h.Events()
 	deadline := time.Now().Add(5 * time.Second)
-	for h.Events().Recorded() < want {
+	for ev.Recorded() < want || ev.Written()+ev.WriteErrors()+ev.Dropped() < ev.Recorded() {
 		if time.Now().After(deadline) {
-			t.Fatalf("event log stuck at %d recorded, want %d", h.Events().Recorded(), want)
+			t.Fatalf("event log stuck at %d recorded, %d written, %d write errors, %d dropped; want %d recorded",
+				ev.Recorded(), ev.Written(), ev.WriteErrors(), ev.Dropped(), want)
 		}
 		runtime.Gosched()
 	}

@@ -22,11 +22,12 @@ import (
 	"m4lsm/internal/govern"
 	"m4lsm/internal/lsm"
 	"m4lsm/internal/m4"
-	"m4lsm/internal/m4lsm"
 	"m4lsm/internal/m4ql"
 	"m4lsm/internal/obs"
 	"m4lsm/internal/obs/history"
+	"m4lsm/internal/query"
 	"m4lsm/internal/reprops"
+	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/viz"
 )
@@ -654,13 +655,7 @@ func (h *Handler) expandSeriesParam(param string) ([]string, error) {
 		if strings.Contains(prefix, ",") {
 			return nil, fmt.Errorf("a series wildcard cannot be combined with a list")
 		}
-		var ids []string
-		for _, id := range h.engine.SeriesIDs() {
-			if strings.HasPrefix(id, prefix) {
-				ids = append(ids, id)
-			}
-		}
-		return ids, nil
+		return query.Match(h.engine, prefix), nil
 	}
 	var ids []string
 	seen := map[string]bool{}
@@ -750,22 +745,24 @@ func (h *Handler) render(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no series match %q", seriesParam))
 		return
 	}
-	snaps := make([]*storage.Snapshot, len(ids))
-	for i, id := range ids {
-		snap, err := h.engine.Snapshot(id, q.Range())
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		snaps[i] = snap
-	}
-	reduced, err := m4lsm.ReduceMultiContext(r.Context(), snaps, q, spec, m4lsm.Options{
-		Metrics: h.reg,
-		Budget:  govern.NewBudget(govern.LimitsOf(r.Context())),
+	res, err := query.Run(r.Context(), h.engine, query.Request{
+		IDs:       ids,
+		Query:     q,
+		Represent: &spec,
+		Budget:    govern.NewBudget(govern.LimitsOf(r.Context())),
 	})
 	var cost storage.Stats
-	for _, snap := range snaps {
-		cost.Add(snap.Stats.Load())
+	warnings := 0
+	var reduced []series.Series
+	if res != nil {
+		for _, s := range res.Series {
+			cost.Add(s.Stats)
+			// Warnings collected after the compute cover both
+			// snapshot-time quarantines and operator-level degradation
+			// (FP substitution).
+			warnings += len(s.Warnings)
+			reduced = append(reduced, s.Points)
+		}
 	}
 	if spec.Kind == reprops.KindM4 {
 		ev.Operator = "lsm"
@@ -786,12 +783,6 @@ func (h *Handler) render(w http.ResponseWriter, r *http.Request) {
 	canvas := viz.NewCanvas(width, height)
 	for _, s := range reduced {
 		viz.RasterizeOnto(canvas, s, vp)
-	}
-	// Warnings collected after the compute cover both snapshot-time
-	// quarantines and operator-level degradation (FP substitution).
-	warnings := 0
-	for _, snap := range snaps {
-		warnings += snap.Warnings.Len()
 	}
 	if warnings > 0 {
 		w.Header().Set("X-M4-Partial", strconv.Itoa(warnings))

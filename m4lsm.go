@@ -35,9 +35,8 @@ import (
 	"m4lsm/internal/govern"
 	"m4lsm/internal/lsm"
 	"m4lsm/internal/m4"
-	intm4lsm "m4lsm/internal/m4lsm"
 	"m4lsm/internal/m4ql"
-	"m4lsm/internal/m4udf"
+	"m4lsm/internal/query"
 	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
@@ -238,9 +237,21 @@ type M4Options struct {
 	Timeout   time.Duration
 }
 
-// budget builds the options' resource budget (nil when unlimited).
-func (o M4Options) budget() *govern.Budget {
-	return govern.NewBudget(govern.Limits{MaxChunks: o.MaxChunks, MaxPoints: o.MaxPoints, Timeout: o.Timeout})
+// run executes one read over ids through the shared executor: spec nil
+// asks for M4 aggregates, otherwise for the representation's points.
+func (db *DB) run(ctx context.Context, ids []string, tqs, tqe int64, w int, spec *reprops.Spec, opts M4Options) (*query.Result, error) {
+	if opts.Operator != OperatorLSM && opts.Operator != OperatorUDF {
+		return nil, fmt.Errorf("m4lsm: unknown operator %d", opts.Operator)
+	}
+	return query.Run(ctx, db.engine, query.Request{
+		IDs:         ids,
+		Query:       m4.Query{Tqs: tqs, Tqe: tqe, W: w},
+		Represent:   spec,
+		UDF:         opts.Operator == OperatorUDF,
+		Strict:      opts.StrictReads,
+		Parallelism: opts.Parallelism,
+		Budget:      govern.NewBudget(govern.Limits{MaxChunks: opts.MaxChunks, MaxPoints: opts.MaxPoints, Timeout: opts.Timeout}),
+	})
 }
 
 // M4 runs an M4 representation query with the default operator (M4-LSM):
@@ -286,40 +297,16 @@ type M4Result struct {
 // failing it: they are skipped (corrupt ones quarantined engine-wide) and
 // reported in M4Result.Warnings.
 func (db *DB) M4Context(ctx context.Context, seriesID string, tqs, tqe int64, w int, opts M4Options) (*M4Result, error) {
-	q := m4.Query{Tqs: tqs, Tqe: tqe, W: w}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	snap, err := db.engine.Snapshot(seriesID, q.Range())
+	res, err := db.run(ctx, []string{seriesID}, tqs, tqe, w, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.StrictReads {
-		// Chunks already quarantined are excluded at snapshot time; a
-		// strict read must fail rather than omit them silently.
-		if ws := snap.Warnings.List(); len(ws) > 0 {
-			return nil, fmt.Errorf("m4lsm: strict read: %s", ws[0])
-		}
-	}
-	budget := opts.budget()
-	var aggs []m4.Aggregate
-	switch opts.Operator {
-	case OperatorLSM:
-		aggs, err = intm4lsm.ComputeContext(ctx, snap, q, intm4lsm.Options{Parallelism: opts.Parallelism, Strict: opts.StrictReads, Metrics: db.engine.Metrics(), Budget: budget})
-	case OperatorUDF:
-		aggs, err = m4udf.ComputeContext(ctx, snap, q, m4udf.Options{Parallelism: opts.Parallelism, Strict: opts.StrictReads, Metrics: db.engine.Metrics(), Budget: budget})
-	default:
-		return nil, fmt.Errorf("m4lsm: unknown operator %d", opts.Operator)
-	}
-	if err != nil {
-		return nil, err
-	}
-	warnings := snap.Warnings.List()
+	s := res.Series[0]
 	return &M4Result{
-		Aggregates: publicAggregates(aggs),
-		Stats:      publicStats(snap.Stats.Load()),
-		Partial:    len(warnings) > 0,
-		Warnings:   warnings,
+		Aggregates: publicAggregates(s.Aggregates),
+		Stats:      publicStats(s.Stats),
+		Partial:    len(s.Warnings) > 0,
+		Warnings:   s.Warnings,
 	}, nil
 }
 
@@ -368,42 +355,20 @@ func (db *DB) RepresentContext(ctx context.Context, seriesID string, tqs, tqe in
 	if err != nil {
 		return nil, err
 	}
-	q := m4.Query{Tqs: tqs, Tqe: tqe, W: w}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	snap, err := db.engine.Snapshot(seriesID, q.Range())
+	res, err := db.run(ctx, []string{seriesID}, tqs, tqe, w, &spec, opts.M4Options)
 	if err != nil {
 		return nil, err
 	}
-	if opts.StrictReads {
-		if ws := snap.Warnings.List(); len(ws) > 0 {
-			return nil, fmt.Errorf("m4lsm: strict read: %s", ws[0])
-		}
-	}
-	budget := opts.budget()
-	var pts series.Series
-	switch opts.Operator {
-	case OperatorLSM:
-		pts, err = intm4lsm.ReduceContext(ctx, snap, q, spec, intm4lsm.Options{Parallelism: opts.Parallelism, Strict: opts.StrictReads, Metrics: db.engine.Metrics(), Budget: budget})
-	case OperatorUDF:
-		pts, err = m4udf.ReduceContext(ctx, snap, q, spec, m4udf.Options{Parallelism: opts.Parallelism, Strict: opts.StrictReads, Metrics: db.engine.Metrics(), Budget: budget})
-	default:
-		return nil, fmt.Errorf("m4lsm: unknown operator %d", opts.Operator)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Point, len(pts))
-	for i, p := range pts {
+	s := res.Series[0]
+	out := make([]Point, len(s.Points))
+	for i, p := range s.Points {
 		out[i] = publicPoint(p)
 	}
-	warnings := snap.Warnings.List()
 	return &RepresentResult{
 		Points:   out,
-		Stats:    publicStats(snap.Stats.Load()),
-		Partial:  len(warnings) > 0,
-		Warnings: warnings,
+		Stats:    publicStats(s.Stats),
+		Partial:  len(s.Warnings) > 0,
+		Warnings: s.Warnings,
 	}, nil
 }
 
@@ -439,49 +404,21 @@ func (db *DB) M4Multi(ids []string, tqs, tqe int64, w int) ([]SeriesAggregates, 
 // opts.StrictReads, unreadable chunks degrade only the series they belong
 // to, reported in that series' Partial/Warnings.
 func (db *DB) M4MultiContext(ctx context.Context, ids []string, tqs, tqe int64, w int, opts M4Options) ([]SeriesAggregates, error) {
-	q := m4.Query{Tqs: tqs, Tqe: tqe, W: w}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	snaps := make([]*storage.Snapshot, len(ids))
-	for i, id := range ids {
-		snap, err := db.engine.Snapshot(id, q.Range())
-		if err != nil {
-			return nil, fmt.Errorf("m4lsm: series %q: %w", id, err)
-		}
-		if opts.StrictReads {
-			if ws := snap.Warnings.List(); len(ws) > 0 {
-				return nil, fmt.Errorf("m4lsm: strict read: series %q: %s", id, ws[0])
-			}
-		}
-		snaps[i] = snap
-	}
-	budget := opts.budget()
-	var outs [][]m4.Aggregate
-	var err error
-	switch opts.Operator {
-	case OperatorLSM:
-		outs, err = intm4lsm.ComputeMultiContext(ctx, snaps, q, intm4lsm.Options{Parallelism: opts.Parallelism, Strict: opts.StrictReads, Metrics: db.engine.Metrics(), Budget: budget})
-	case OperatorUDF:
-		outs, err = m4udf.ComputeMultiContext(ctx, snaps, q, m4udf.Options{Parallelism: opts.Parallelism, Strict: opts.StrictReads, Metrics: db.engine.Metrics(), Budget: budget})
-	default:
-		return nil, fmt.Errorf("m4lsm: unknown operator %d", opts.Operator)
-	}
+	res, err := db.run(ctx, ids, tqs, tqe, w, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	res := make([]SeriesAggregates, len(ids))
-	for i, id := range ids {
-		warnings := snaps[i].Warnings.List()
-		res[i] = SeriesAggregates{
-			SeriesID:   id,
-			Aggregates: publicAggregates(outs[i]),
-			Stats:      publicStats(snaps[i].Stats.Load()),
-			Partial:    len(warnings) > 0,
-			Warnings:   warnings,
+	out := make([]SeriesAggregates, len(res.Series))
+	for i, s := range res.Series {
+		out[i] = SeriesAggregates{
+			SeriesID:   s.ID,
+			Aggregates: publicAggregates(s.Aggregates),
+			Stats:      publicStats(s.Stats),
+			Partial:    len(s.Warnings) > 0,
+			Warnings:   s.Warnings,
 		}
 	}
-	return res, nil
+	return out, nil
 }
 
 // Query parses and executes a query in the SQL-ish form of the paper's

@@ -2,9 +2,14 @@ package m4lsm
 
 import (
 	"bytes"
+	"context"
 	"image/png"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+
+	"m4lsm/internal/tsfile"
 )
 
 func TestRaw(t *testing.T) {
@@ -101,5 +106,64 @@ func TestM4Multi(t *testing.T) {
 	}
 	if _, err := db.M4Multi(ids, 5, 5, 1); err == nil {
 		t.Error("invalid range accepted")
+	}
+}
+
+// TestTupleFormsReadStrictly: once a lenient read has quarantined a corrupt
+// chunk, every tuple-form call fails instead of answering from the chunks
+// that are left: M4, Raw and Render alike.
+func TestTupleFormsReadStrictly(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, WithFlushThreshold(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if err := db.Write("s", Point{Time: int64(i), Value: float64(i % 7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "*.tsf"))
+	if len(files) != 3 {
+		t.Fatalf("chunk files = %v, want 3", files)
+	}
+	r, err := tsfile.Open(files[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := r.Metas()[0]
+	r.Close()
+	raw, err := os.ReadFile(files[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[meta.Offset+meta.HeaderLen+meta.TimesLen] ^= 0x40 // first value byte
+	if err := os.WriteFile(files[1], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	res, err := db.RepresentContext(context.Background(), "s", 0, 300, 10, RepresentOptions{Representation: "lttb"})
+	if err != nil {
+		t.Fatalf("lenient read must degrade, not fail: %v", err)
+	}
+	if !res.Partial || db.Info().QuarantinedChunks != 1 {
+		t.Fatalf("partial=%v quarantined=%d, want a quarantined chunk", res.Partial, db.Info().QuarantinedChunks)
+	}
+	if _, _, err := db.M4("s", 0, 300, 10); err == nil {
+		t.Error("M4 answered without the quarantined chunk")
+	}
+	if pts, err := db.Raw("s", 0, 300); err == nil {
+		t.Errorf("Raw returned %d of 300 points without an error", len(pts))
+	}
+	if _, err := db.Render("s", 0, 300, 10, 10); err == nil {
+		t.Error("Render drew the chart without the quarantined chunk")
 	}
 }
